@@ -132,8 +132,8 @@ public:
 
 /// The paper's behavior: master-instance batches go to execution, everything
 /// else only feeds monitoring.  This is the default policy and is
-/// byte-identical to the pre-seam RBFT node (the equivalence rig holds it to
-/// that).
+/// byte-identical to the pre-seam RBFT node (its check_explore output and
+/// deterministic bench sections were diffed across the seam).
 class MasterOnlyExecution final : public ExecutionPolicy {
 public:
     [[nodiscard]] const char* name() const noexcept override { return "master-only"; }

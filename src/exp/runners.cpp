@@ -122,8 +122,6 @@ ScenarioOutput run_rbft(const RbftScenario& scenario) {
     cfg.f = scenario.f;
     cfg.seed = scenario.seed;
     cfg.use_udp = scenario.use_udp;
-    cfg.queue_kind = scenario.runtime.queue_kind;
-    cfg.pooled_messages = scenario.runtime.pooled_messages;
     cfg.order_full_requests = scenario.order_full_requests;
     cfg.monitoring.delta = scenario.delta;
     cfg.instances_override = scenario.instances_override;
@@ -290,13 +288,8 @@ ScenarioOutput run_baseline(const BaselineScenario& scenario) {
             auto recorder = make_run_recorder(scenario.recorder);
             protocols::AardvarkConfig cfg;
             cfg.base.recorder = recorder.get();
-            (void)scenario.aardvark_fast_schedule;  // defaults are already
-            // time-compressed vs the paper's 5 s grace on hour-long runs.
-            protocols::AardvarkCluster cluster(
-                1, scenario.seed, cfg, protocols::default_channel_aardvark(), {},
-                [] { return std::make_unique<core::NullService>(); },
-                protocols::ClusterRuntimeOptions{scenario.runtime.queue_kind,
-                                                 scenario.runtime.pooled_messages});
+            protocols::AardvarkCluster cluster(1, scenario.seed, cfg,
+                                               protocols::default_channel_aardvark());
             std::unique_ptr<attacks::AardvarkAttack> attack;
             if (scenario.attack) {
                 // Static load: the malicious node takes the primary role
@@ -317,11 +310,8 @@ ScenarioOutput run_baseline(const BaselineScenario& scenario) {
             auto recorder = make_run_recorder(scenario.recorder);
             protocols::SpinningConfig cfg;
             cfg.base.recorder = recorder.get();
-            protocols::SpinningCluster cluster(
-                1, scenario.seed, cfg, protocols::default_channel_spinning(), {},
-                [] { return std::make_unique<core::NullService>(); },
-                protocols::ClusterRuntimeOptions{scenario.runtime.queue_kind,
-                                                 scenario.runtime.pooled_messages});
+            protocols::SpinningCluster cluster(1, scenario.seed, cfg,
+                                               protocols::default_channel_spinning());
             std::unique_ptr<attacks::SpinningAttack> attack;
             if (scenario.attack) {
                 attack = std::make_unique<attacks::SpinningAttack>(cluster, NodeId{3});
@@ -336,11 +326,8 @@ ScenarioOutput run_baseline(const BaselineScenario& scenario) {
             auto recorder = make_run_recorder(scenario.recorder);
             protocols::prime::PrimeConfig cfg;
             cfg.recorder = recorder.get();
-            protocols::PrimeCluster cluster(
-                1, scenario.seed, cfg, protocols::default_channel_prime(), {},
-                [] { return std::make_unique<core::NullService>(); },
-                protocols::ClusterRuntimeOptions{scenario.runtime.queue_kind,
-                                                 scenario.runtime.pooled_messages});
+            protocols::PrimeCluster cluster(1, scenario.seed, cfg,
+                                            protocols::default_channel_prime());
             std::unique_ptr<attacks::PrimeAttack> attack;
             if (scenario.attack) {
                 // The initial primary (rotation round 0) is the malicious one.

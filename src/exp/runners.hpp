@@ -52,18 +52,9 @@ struct ScenarioOutput {
     std::shared_ptr<obs::Recorder> recorder;
 };
 
-/// Simulator/allocator knobs every scenario carries (defaults = production
-/// hot path).  The equivalence rig flips these one at a time and asserts
-/// byte-identical metrics/trace/profile exports.
-struct RuntimeKnobs {
-    sim::QueueKind queue_kind = sim::QueueKind::kWheel;
-    bool pooled_messages = true;
-};
-
 struct RbftScenario {
     std::uint32_t f = 1;
     bool use_udp = false;
-    RuntimeKnobs runtime{};
     bool order_full_requests = false;
     std::size_t payload_bytes = 8;
     Duration exec_cost{};
@@ -90,7 +81,6 @@ struct RbftScenario {
 
 struct BaselineScenario {
     Protocol protocol = Protocol::kAardvark;  // kAardvark | kSpinning | kPrime
-    RuntimeKnobs runtime{};
     std::size_t payload_bytes = 8;
     Duration exec_cost{};
     LoadShape load = LoadShape::kStatic;
@@ -103,9 +93,6 @@ struct BaselineScenario {
     std::uint32_t clients = 20;
     Duration warmup = seconds(1.0);
     Duration measure = seconds(2.0);
-    /// Aardvark: number of honest-primary views to bootstrap expectation
-    /// history before the malicious node's turn (static-load attack).
-    bool aardvark_fast_schedule = true;
     /// Observability sink to attach; null = the runner creates its own.
     /// Tracing is enabled automatically when RBFT_OBS_DIR is set, and the
     /// runner exports metrics.json/trace.json there after the run.

@@ -27,9 +27,8 @@
 //  * Recycling is LIFO per size class: allocation order is a pure function
 //    of the run's message history, keeping runs deterministic.
 //  * Pool statistics are internal observability only — they are never
-//    exported into metrics/trace/profile JSON, so pooled and unpooled runs
-//    of the same scenario stay byte-identical (the equivalence rig asserts
-//    this).
+//    exported into metrics/trace/profile JSON, so no export depends on how
+//    often slots were recycled.
 //  * A pool is confined to one simulation instance/thread, like the
 //    Simulator that drives it.  exp::parallel gives each lane its own pool.
 #pragma once

@@ -2,7 +2,6 @@
 // the experiment harness and benches can drive any protocol uniformly.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -19,30 +18,15 @@
 
 namespace rbft::protocols {
 
-/// Simulator/allocator knobs shared by every protocol cluster, mirroring
-/// the equivalent fields of core::ClusterConfig (the equivalence rig flips
-/// them and asserts byte-identical runs).
-struct ClusterRuntimeOptions {
-    sim::QueueKind queue_kind = sim::QueueKind::kWheel;
-    bool pooled_messages = true;
-};
-
 /// Generic 3f+1-node cluster for a baseline protocol.  NodeT must provide
 /// on_message(Address, MessagePtr) and start(); ConfigT must expose
 /// assign_topology(NodeId, n, f).
 template <typename NodeT, typename ConfigT>
 class ProtocolCluster {
 public:
-    using ServiceFactory = std::function<std::unique_ptr<core::Service>()>;
-
     ProtocolCluster(std::uint32_t f, std::uint64_t seed, ConfigT node_template,
-                    net::ChannelParams channel, crypto::CostModel costs = {},
-                    ServiceFactory service_factory =
-                        [] { return std::make_unique<core::NullService>(); },
-                    ClusterRuntimeOptions runtime = {})
-        : f_(f), n_(cluster_size(f)), simulator_(runtime.queue_kind), keys_(seed),
-          costs_(costs) {
-        if (runtime.pooled_messages) pool_ = std::make_unique<net::MessagePool>();
+                    net::ChannelParams channel)
+        : f_(f), n_(cluster_size(f)), keys_(seed) {
         network_ = std::make_unique<net::Network>(simulator_, n_, Rng(seed), channel, channel);
         // Attach observability when the template carries a recorder (directly
         // for Prime, nested in the shared BaselineConfig for the others).
@@ -65,12 +49,12 @@ public:
             ConfigT cfg = node_template;
             cfg.assign_topology(NodeId{i}, n_, f_);
             if constexpr (requires { cfg.message_pool; }) {
-                cfg.message_pool = pool_.get();
+                cfg.message_pool = &pool_;
             } else {
-                cfg.base.message_pool = pool_.get();
+                cfg.base.message_pool = &pool_;
             }
             nodes_.push_back(std::make_unique<NodeT>(cfg, simulator_, *network_, keys_, costs_,
-                                                     service_factory()));
+                                                     std::make_unique<core::NullService>()));
             NodeT* node = nodes_.back().get();
             network_->register_node(NodeId{i},
                                     [node](net::Address from, const net::MessagePtr& m) {
@@ -85,7 +69,8 @@ public:
 
     [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
     [[nodiscard]] net::Network& network() noexcept { return *network_; }
-    [[nodiscard]] net::MessagePool* message_pool() noexcept { return pool_.get(); }
+    /// Cluster-wide message pool (never null), as core::Cluster::message_pool().
+    [[nodiscard]] net::MessagePool* message_pool() noexcept { return &pool_; }
     [[nodiscard]] const crypto::KeyStore& keys() const noexcept { return keys_; }
     [[nodiscard]] NodeT& node(std::uint32_t i) { return *nodes_.at(i); }
     [[nodiscard]] std::uint32_t n() const noexcept { return n_; }
@@ -96,8 +81,8 @@ private:
     std::uint32_t n_;
     sim::Simulator simulator_;
     crypto::KeyStore keys_;
-    crypto::CostModel costs_;
-    std::unique_ptr<net::MessagePool> pool_;
+    crypto::CostModel costs_{};
+    net::MessagePool pool_;
     std::unique_ptr<net::Network> network_;
     std::vector<std::unique_ptr<NodeT>> nodes_;
 };

@@ -3,8 +3,7 @@
 namespace rbft::core {
 
 Cluster::Cluster(ClusterConfig config, ServiceFactory service_factory)
-    : config_(config), simulator_(config.queue_kind), keys_(config.seed) {
-    if (config_.pooled_messages) pool_ = std::make_unique<net::MessagePool>();
+    : config_(config), keys_(config.seed) {
     const auto channel =
         config_.use_udp ? net::ChannelParams::udp() : net::ChannelParams::tcp();
     network_ = std::make_unique<net::Network>(simulator_, config_.n(), Rng(config_.seed),
@@ -33,7 +32,7 @@ Cluster::Cluster(ClusterConfig config, ServiceFactory service_factory)
         nc.execution_policy = config_.execution_policy;
         nc.pipeline_lanes = config_.pipeline_lanes;
         nc.recorder = config_.recorder;
-        nc.message_pool = pool_.get();
+        nc.message_pool = &pool_;
         nodes_.push_back(std::make_unique<Node>(nc, simulator_, *network_, keys_,
                                                 config_.costs, service_factory()));
         Node* node = nodes_.back().get();

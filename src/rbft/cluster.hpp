@@ -25,16 +25,6 @@ struct ClusterConfig {
     /// Channel model between nodes and to clients (Fig. 7 compares both).
     bool use_udp = false;
 
-    /// Event-queue implementation backing the simulator.  kWheel (default)
-    /// is the timing-wheel hot path; kHeap is the reference binary heap the
-    /// equivalence rig diffs against.  Both orders are identical by
-    /// construction (tests/test_eventqueue.cpp).
-    sim::QueueKind queue_kind = sim::QueueKind::kWheel;
-    /// Recycle message allocations through a cluster-owned free-list pool
-    /// (src/net/pool.hpp).  Off = plain make_shared; observable behavior is
-    /// byte-identical either way (the equivalence rig asserts it).
-    bool pooled_messages = true;
-
     std::uint32_t batch_max = 64;
     Duration batch_delay = milliseconds(1.0);
     bool order_full_requests = false;
@@ -85,10 +75,9 @@ public:
 
     [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
     [[nodiscard]] net::Network& network() noexcept { return *network_; }
-    /// Cluster-wide message pool (null when pooled_messages is off).  Hand
-    /// it to clients (ClientBehavior::message_pool) attached to this
-    /// cluster.
-    [[nodiscard]] net::MessagePool* message_pool() noexcept { return pool_.get(); }
+    /// Cluster-wide message pool (never null).  Hand it to clients
+    /// (ClientBehavior::message_pool) attached to this cluster.
+    [[nodiscard]] net::MessagePool* message_pool() noexcept { return &pool_; }
     [[nodiscard]] const crypto::KeyStore& keys() const noexcept { return keys_; }
     [[nodiscard]] const crypto::CostModel& costs() const noexcept { return config_.costs; }
     [[nodiscard]] const ClusterConfig& config() const noexcept { return config_; }
@@ -119,7 +108,7 @@ private:
     crypto::KeyStore keys_;
     // Destruction order is a non-issue: messages embed a shared reference to
     // the pool core, so slots outlive the pool handle itself if needed.
-    std::unique_ptr<net::MessagePool> pool_;
+    net::MessagePool pool_;
     std::unique_ptr<net::Network> network_;
     std::vector<std::unique_ptr<Node>> nodes_;
 };

@@ -6,19 +6,6 @@
 
 namespace rbft::sim {
 
-std::unique_ptr<EventQueue> make_event_queue(QueueKind kind) {
-    switch (kind) {
-        case QueueKind::kWheel:
-            return std::make_unique<WheelQueue>();
-        case QueueKind::kHeap:
-            return std::make_unique<HeapQueue>();
-    }
-    return std::make_unique<WheelQueue>();  // unreachable; -Wswitch covers the enum
-}
-
-// ---------------------------------------------------------------------------
-// WheelQueue
-
 WheelQueue::WheelQueue() {
     l0_.fill(kNil);
     l1_.fill(kNil);
@@ -229,53 +216,6 @@ std::optional<TimePoint> WheelQueue::next_event_time() {
     const std::uint32_t idx = find_min(level);
     if (idx == kNil) return std::nullopt;
     return nodes_[idx].at;
-}
-
-// ---------------------------------------------------------------------------
-// HeapQueue
-
-HeapQueue::Event HeapQueue::pop_earliest() {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = std::move(heap_.back());
-    heap_.pop_back();
-    return ev;
-}
-
-std::uint64_t HeapQueue::schedule(TimePoint at, std::uint64_t seq, Action action) {
-    const std::uint64_t id = next_id_++;
-    heap_.push_back(Event{at, seq, id, std::move(action)});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    live_ids_.insert(id);
-    return id;
-}
-
-bool HeapQueue::cancel(std::uint64_t id) { return live_ids_.erase(id) > 0; }
-
-bool HeapQueue::pop_due(TimePoint limit, TimePoint& at_out, Action& action_out) {
-    while (!heap_.empty()) {
-        if (live_ids_.find(heap_.front().id) == live_ids_.end()) {
-            (void)pop_earliest();  // cancelled; discard lazily
-            continue;
-        }
-        if (heap_.front().at > limit) return false;
-        Event ev = pop_earliest();
-        live_ids_.erase(ev.id);
-        at_out = ev.at;
-        action_out = std::move(ev.action);
-        return true;
-    }
-    return false;
-}
-
-std::optional<TimePoint> HeapQueue::next_event_time() {
-    while (!heap_.empty()) {
-        if (live_ids_.find(heap_.front().id) == live_ids_.end()) {
-            (void)pop_earliest();
-            continue;
-        }
-        return heap_.front().at;
-    }
-    return std::nullopt;
 }
 
 }  // namespace rbft::sim

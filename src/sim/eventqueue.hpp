@@ -1,30 +1,20 @@
-// Pluggable event queues for the deterministic simulator.
+// Event queue for the deterministic simulator: a two-level hierarchical
+// timing wheel (1.024 µs × 512-slot inner wheel, 524 µs × 512-slot outer
+// wheel, min-heap overflow for timers beyond ~268 ms) with O(1)
+// schedule/cancel.
 //
-// Two implementations with *identical* observable semantics:
-//
-//  - WheelQueue: a two-level hierarchical timing wheel (1.024 µs × 512-slot
-//    inner wheel, 524 µs × 512-slot outer wheel, min-heap overflow for
-//    timers beyond ~268 ms) with O(1) schedule/cancel.  This is the
-//    production queue.
-//  - HeapQueue: the original binary-heap queue, kept as the reference
-//    implementation the differential equivalence rig (tests/
-//    test_equivalence.cpp) runs against.
-//
-// Both dispatch strictly in (time, seq) order where `seq` is the caller's
-// monotonically increasing insertion counter, so FIFO among same-time
-// events is preserved bit-for-bit across implementations.  Both define
-// live() as the number of events scheduled but neither fired nor
-// cancelled — computed eagerly and identically, so the sim.queue_depth
-// gauge is byte-identical whichever queue runs a scenario.
+// Events dispatch strictly in (time, seq) order where `seq` is the
+// caller's monotonically increasing insertion counter, so FIFO among
+// same-time events is preserved.  live() is the number of events scheduled
+// but neither fired nor cancelled, computed eagerly so the sim.queue_depth
+// gauge never depends on when cancelled entries are reclaimed.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "common/det.hpp"
 #include "common/smallfn.hpp"
 #include "common/time.hpp"
 
@@ -33,38 +23,6 @@ namespace rbft::sim {
 /// Scheduled closure.  SmallFunc's 64-byte inline buffer fits every
 /// protocol/network lambda in the tree, so scheduling does not allocate.
 using Action = common::SmallFunc<64>;
-
-/// Which event-queue implementation a Simulator runs on.
-enum class QueueKind {
-    kWheel,  ///< hierarchical timing wheel (production default)
-    kHeap,   ///< binary heap (reference implementation for the equivalence rig)
-};
-
-class EventQueue {
-public:
-    virtual ~EventQueue() = default;
-
-    /// Enqueues `action` at `at` with tie-break counter `seq` (strictly
-    /// increasing across calls; the caller owns the counter so ids and
-    /// ordering are queue-independent).  Returns a nonzero cancellation id.
-    virtual std::uint64_t schedule(TimePoint at, std::uint64_t seq, Action action) = 0;
-
-    /// Cancels a pending event.  Returns true iff `id` named a live
-    /// (scheduled, unfired, uncancelled) event.
-    virtual bool cancel(std::uint64_t id) = 0;
-
-    /// Extracts the earliest live event if its due time is <= `limit`.
-    virtual bool pop_due(TimePoint limit, TimePoint& at_out, Action& action_out) = 0;
-
-    /// Due time of the earliest live event without dispatching or advancing
-    /// any internal clock (the wall-clock runtime polls this).
-    virtual std::optional<TimePoint> next_event_time() = 0;
-
-    /// Number of live events (scheduled − fired − cancelled).
-    [[nodiscard]] virtual std::size_t live() const = 0;
-};
-
-[[nodiscard]] std::unique_ptr<EventQueue> make_event_queue(QueueKind kind);
 
 /// Two-level timing wheel with a heap fallback for far-future timers.
 ///
@@ -84,15 +42,28 @@ public:
 ///  - outer-wheel slots migrate inward only when their minimum is the
 ///    global minimum and committed to dispatch (cursor moves to it), never
 ///    from next_event_time(), so peeking cannot perturb wheel state.
-class WheelQueue final : public EventQueue {
+class WheelQueue {
 public:
     WheelQueue();
 
-    std::uint64_t schedule(TimePoint at, std::uint64_t seq, Action action) override;
-    bool cancel(std::uint64_t id) override;
-    bool pop_due(TimePoint limit, TimePoint& at_out, Action& action_out) override;
-    std::optional<TimePoint> next_event_time() override;
-    [[nodiscard]] std::size_t live() const override { return live_; }
+    /// Enqueues `action` at `at` with tie-break counter `seq` (strictly
+    /// increasing across calls; the caller owns the counter).  Returns a
+    /// nonzero cancellation id.
+    std::uint64_t schedule(TimePoint at, std::uint64_t seq, Action action);
+
+    /// Cancels a pending event.  Returns true iff `id` named a live
+    /// (scheduled, unfired, uncancelled) event.
+    bool cancel(std::uint64_t id);
+
+    /// Extracts the earliest live event if its due time is <= `limit`.
+    bool pop_due(TimePoint limit, TimePoint& at_out, Action& action_out);
+
+    /// Due time of the earliest live event without dispatching or advancing
+    /// the cursor (the wall-clock runtime polls this).
+    std::optional<TimePoint> next_event_time();
+
+    /// Number of live events (scheduled − fired − cancelled).
+    [[nodiscard]] std::size_t live() const { return live_; }
 
 private:
     static constexpr unsigned kSlotBits = 9;                  // 512 slots per level
@@ -148,38 +119,6 @@ private:
     std::vector<OverflowEntry> overflow_;  // min-heap under OverflowLater
     std::int64_t cursor_ = 0;              // ns; processed-up-to watermark
     std::size_t live_ = 0;
-};
-
-/// The original vector-heap queue (push_heap/pop_heap with lazy cancel),
-/// augmented with an explicit live-id set so live() matches WheelQueue
-/// exactly.  Reference implementation — clarity over speed.
-class HeapQueue final : public EventQueue {
-public:
-    std::uint64_t schedule(TimePoint at, std::uint64_t seq, Action action) override;
-    bool cancel(std::uint64_t id) override;
-    bool pop_due(TimePoint limit, TimePoint& at_out, Action& action_out) override;
-    std::optional<TimePoint> next_event_time() override;
-    [[nodiscard]] std::size_t live() const override { return live_ids_.size(); }
-
-private:
-    struct Event {
-        TimePoint at{};
-        std::uint64_t seq = 0;
-        std::uint64_t id = 0;
-        Action action;
-    };
-    struct Later {
-        bool operator()(const Event& a, const Event& b) const noexcept {
-            if (a.at != b.at) return a.at > b.at;
-            return a.seq > b.seq;
-        }
-    };
-
-    [[nodiscard]] Event pop_earliest();
-
-    std::vector<Event> heap_;  // min-heap under Later
-    det::set<std::uint64_t> live_ids_;
-    std::uint64_t next_id_ = 1;
 };
 
 }  // namespace rbft::sim

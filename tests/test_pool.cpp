@@ -1,9 +1,9 @@
 // Message-pool property tests (src/net/pool.hpp): randomized
 // acquire/release interleavings against the pool's accounting invariants,
 // LIFO slot recycling, debug poison-fill, oversize fallback, and the
-// messages-outlive-the-pool lifetime guarantee.  The byte-identity of
-// pooled vs unpooled simulation runs is asserted separately by the
-// equivalence rig (test_equivalence.cpp).
+// messages-outlive-the-pool lifetime guarantee.  The cluster tests pin the
+// pooled path as the only simulated-cluster path: every cluster owns a pool
+// and recycles its slots.
 #include <algorithm>
 #include <array>
 #include <cstdint>
@@ -15,6 +15,9 @@
 #include "bft/messages.hpp"
 #include "common/rng.hpp"
 #include "net/pool.hpp"
+#include "protocols/clusters.hpp"
+#include "rbft/cluster.hpp"
+#include "workload/client.hpp"
 
 namespace rbft::net {
 namespace {
@@ -170,6 +173,44 @@ TEST(MessagePool, MakeMsgFallsBackToPlainHeapWithoutAPool) {
     auto pooled = make_msg<bft::RequestMsg>(&pool);
     ASSERT_NE(pooled, nullptr);
     EXPECT_EQ(pool.stats().acquired, 1u);
+}
+
+/// Short fault-free run of `cluster` with one pooled client: the cluster's
+/// pool must exist and must hand recycled slots back out.
+template <typename ClusterT>
+void expect_pooled_run(ClusterT& cluster, workload::ClientBehavior behavior = {}) {
+    MessagePool* pool = cluster.message_pool();
+    ASSERT_NE(pool, nullptr);
+    cluster.start();
+    behavior.message_pool = pool;
+    workload::ClientEndpoint client(ClientId{0}, cluster.simulator(), cluster.network(),
+                                    cluster.keys(), 4, 1, behavior);
+    for (int i = 0; i < 20; ++i) client.send_one();
+    cluster.simulator().run_for(seconds(1.0));
+    EXPECT_EQ(client.completed(), 20u);
+    EXPECT_GT(pool->stats().reused, 0u);
+}
+
+TEST(ClusterPool, RbftClusterRecyclesSlots) {
+    core::Cluster cluster(core::ClusterConfig{});
+    expect_pooled_run(cluster);
+}
+
+TEST(ClusterPool, AardvarkClusterRecyclesSlots) {
+    protocols::AardvarkCluster cluster(1, 3, {}, protocols::default_channel_aardvark());
+    expect_pooled_run(cluster);
+}
+
+TEST(ClusterPool, SpinningClusterRecyclesSlots) {
+    protocols::SpinningCluster cluster(1, 3, {}, protocols::default_channel_spinning());
+    expect_pooled_run(cluster);
+}
+
+TEST(ClusterPool, PrimeClusterRecyclesSlots) {
+    protocols::PrimeCluster cluster(1, 3, {}, protocols::default_channel_prime());
+    workload::ClientBehavior rr;
+    rr.round_robin_single = true;  // Prime clients send to one replica
+    expect_pooled_run(cluster, rr);
 }
 
 }  // namespace
