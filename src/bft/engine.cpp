@@ -93,8 +93,7 @@ void InstanceEngine::broadcast(const net::MessagePtr& m, Duration per_dest_cost)
 void InstanceEngine::submit(const RequestRef& ref) {
     if (silent_replica_) return;
     if (ordered_keys_.contains(ref.key())) return;
-    if (!waiting_since_.contains(ref.key())) {
-        waiting_since_.emplace(ref.key(), simulator_.now());
+    if (waiting_keys_.insert(ref.key()).second) {
         waiting_fifo_.emplace_back(ref.key(), simulator_.now());
     }
     // Unfair-primary lever: admit this request into the pending queue late.
@@ -479,7 +478,7 @@ void InstanceEngine::try_deliver() {
         batch.requests = s.pre_prepare->batch;
         for (const auto& ref : batch.requests) {
             ordered_keys_.insert(ref.key());
-            waiting_since_.erase(ref.key());
+            waiting_keys_.erase(ref.key());
         }
         ordered_window_.add(batch.requests.size());
         total_ordered_ += batch.requests.size();

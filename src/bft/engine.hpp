@@ -21,6 +21,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "bft/messages.hpp"
@@ -328,9 +329,11 @@ private:
 
     std::map<std::uint64_t, Slot> slots_;  // keyed by raw seq, ordered
     std::deque<RequestRef> pending_;
-    det::set<RequestKey> pending_keys_;
-    det::set<RequestKey> ordered_keys_;
-    det::map<RequestKey, TimePoint> waiting_since_;
+    // Lookup-only request-key sets (never iterated, which the
+    // det-unordered-iteration lint rule enforces), so hashed.
+    std::unordered_set<RequestKey> pending_keys_;
+    std::unordered_set<RequestKey> ordered_keys_;
+    std::unordered_set<RequestKey> waiting_keys_;  // submitted, not yet ordered
     std::deque<std::pair<RequestKey, TimePoint>> waiting_fifo_;
     std::vector<PrePrepareMsg> buffered_pps_;  // awaiting clearance or view
 

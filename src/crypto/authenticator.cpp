@@ -11,8 +11,8 @@ MacAuthenticator make_authenticator(const KeyStore& keys, Principal sender,
     auth.macs.reserve(node_count);
     const BytesView digest_view(body_digest.bytes.data(), body_digest.bytes.size());
     for (std::uint32_t i = 0; i < node_count; ++i) {
-        const SymmetricKey key = keys.pairwise_key(sender, Principal::node(NodeId{i}));
-        auth.macs.push_back(compute_mac(key, digest_view));
+        auth.macs.push_back(
+            compute_mac(keys.pairwise_mac_key(sender, Principal::node(NodeId{i})), digest_view));
         keys.note_mac();
     }
     return auth;
@@ -28,7 +28,7 @@ bool verify_authenticator(const KeyStore& keys, const MacAuthenticator& auth,
                           NodeId receiver, const Digest& body_digest) {
     const std::uint32_t idx = raw(receiver);
     if (idx >= auth.macs.size()) return false;
-    const SymmetricKey key = keys.pairwise_key(auth.sender, Principal::node(receiver));
+    const HmacKey& key = keys.pairwise_mac_key(auth.sender, Principal::node(receiver));
     keys.note_mac();
     return verify_mac(key, BytesView(body_digest.bytes.data(), body_digest.bytes.size()),
                       auth.macs[idx]);

@@ -30,7 +30,7 @@ KeyStore::KeyStore(std::uint64_t master_secret) noexcept {
     std::memcpy(root_.bytes.data(), d.bytes.data(), root_.bytes.size());
 }
 
-SymmetricKey KeyStore::pairwise_key(Principal a, Principal b) const {
+const KeyStore::PairwiseEntry& KeyStore::pairwise_entry(Principal a, Principal b) const {
     // Canonical order so key(a,b) == key(b,a).
     Principal lo = a, hi = b;
     if (hi < lo) std::swap(lo, hi);
@@ -43,21 +43,19 @@ SymmetricKey KeyStore::pairwise_key(Principal a, Principal b) const {
     append_principal(label, hi);
     const SymmetricKey key = derive(root_, label);
     stats_.keys_derived += 1;
-    pairwise_cache_.emplace(std::make_pair(lo, hi), key);
-    return key;
+    return pairwise_cache_.emplace(std::make_pair(lo, hi), PairwiseEntry{key, HmacKey(key)})
+        .first->second;
 }
 
-SymmetricKey KeyStore::signing_key(Principal p) const {
+const HmacKey& KeyStore::signing_key(Principal p) const {
     if (const auto it = signing_cache_.find(p); it != signing_cache_.end()) {
         stats_.key_cache_hits += 1;
         return it->second;
     }
     Bytes label = to_bytes("signing:");
     append_principal(label, p);
-    const SymmetricKey key = derive(root_, label);
     stats_.keys_derived += 1;
-    signing_cache_.emplace(p, key);
-    return key;
+    return signing_cache_.emplace(p, HmacKey(derive(root_, label))).first->second;
 }
 
 Signature KeyStore::sign(Principal p, BytesView data) const {

@@ -75,7 +75,16 @@ public:
     /// Symmetric key shared between `a` and `b` (order-independent).
     /// Derivations are memoized: the first call per pair runs the HKDF, every
     /// later call is a map hit (`CryptoStats::key_cache_hits`).
-    [[nodiscard]] SymmetricKey pairwise_key(Principal a, Principal b) const;
+    [[nodiscard]] SymmetricKey pairwise_key(Principal a, Principal b) const {
+        return pairwise_entry(a, b).key;
+    }
+
+    /// The same pairwise key, prepared for HMAC (its midstates are cached
+    /// with it).  Tallied exactly like pairwise_key.  The reference stays
+    /// valid for the keystore's lifetime.
+    [[nodiscard]] const HmacKey& pairwise_mac_key(Principal a, Principal b) const {
+        return pairwise_entry(a, b).mac;
+    }
 
     /// Signs `data` on behalf of `p`.
     [[nodiscard]] Signature sign(Principal p, BytesView data) const;
@@ -105,13 +114,20 @@ public:
     void note_mac(std::uint64_t n = 1) const noexcept { stats_.macs_computed += n; }
 
 private:
-    [[nodiscard]] SymmetricKey signing_key(Principal p) const;
+    struct PairwiseEntry {
+        SymmetricKey key;
+        HmacKey mac;
+    };
+
+    [[nodiscard]] const PairwiseEntry& pairwise_entry(Principal a, Principal b) const;
+    [[nodiscard]] const HmacKey& signing_key(Principal p) const;
 
     SymmetricKey root_{};
     // Memoized derivations.  mutable: caching and tallying do not change the
     // observable key material (same master secret -> same keys either way).
-    mutable det::map<std::pair<Principal, Principal>, SymmetricKey> pairwise_cache_;
-    mutable det::map<Principal, SymmetricKey> signing_cache_;
+    // Node-based maps, so the references handed out stay valid.
+    mutable det::map<std::pair<Principal, Principal>, PairwiseEntry> pairwise_cache_;
+    mutable det::map<Principal, HmacKey> signing_cache_;
     mutable CryptoStats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "crypto/sha256.hpp"
 
+#include <cassert>
 #include <cstring>
 
 namespace rbft::crypto {
@@ -34,6 +35,18 @@ void Sha256::reset() noexcept {
     std::memcpy(state_, kInit, sizeof(state_));
     total_len_ = 0;
     buffer_len_ = 0;
+}
+
+Sha256::Sha256(const Sha256Midstate& midstate) noexcept : total_len_(midstate.length) {
+    std::memcpy(state_, midstate.state.data(), sizeof(state_));
+}
+
+Sha256Midstate Sha256::midstate() const noexcept {
+    assert(buffer_len_ == 0);
+    Sha256Midstate out;
+    std::memcpy(out.state.data(), state_, sizeof(state_));
+    out.length = total_len_;
+    return out;
 }
 
 void Sha256::process_block(const std::uint8_t* block) noexcept {

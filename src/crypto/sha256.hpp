@@ -6,6 +6,7 @@
 // HMAC and of the simulated signature scheme.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -14,13 +15,30 @@
 
 namespace rbft::crypto {
 
+/// The chaining state after a whole number of 64-byte blocks.  A hasher
+/// resumed from it continues as if it had absorbed that prefix itself, so a
+/// fixed prefix (HMAC's keyed pad blocks) is compressed once, not per use.
+struct Sha256Midstate {
+    std::array<std::uint32_t, 8> state{};
+    std::uint64_t length = 0;  // bytes absorbed; a multiple of 64
+
+    auto operator<=>(const Sha256Midstate&) const = default;
+};
+
 /// Incremental SHA-256 hasher.
 class Sha256 {
 public:
     Sha256() noexcept { reset(); }
 
+    /// Resumes from a saved midstate instead of the initial state.
+    explicit Sha256(const Sha256Midstate& midstate) noexcept;
+
     /// Resets to the initial hash state (allows object reuse).
     void reset() noexcept;
+
+    /// Saves the chaining state.  Only valid on a block boundary: the bytes
+    /// absorbed so far must be a multiple of 64.
+    [[nodiscard]] Sha256Midstate midstate() const noexcept;
 
     /// Absorbs `data`; may be called repeatedly.
     void update(BytesView data) noexcept;

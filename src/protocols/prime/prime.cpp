@@ -305,8 +305,8 @@ void PrimeNode::execute_po(const PoRequestMsg& po) {
             reply.node = config_.id;
             reply.result = service_->execute(req->client, req->payload);
             reply.mac = crypto::compute_mac(
-                keys_.pairwise_key(crypto::Principal::node(config_.id),
-                                   crypto::Principal::client(req->client)),
+                keys_.pairwise_mac_key(crypto::Principal::node(config_.id),
+                                       crypto::Principal::client(req->client)),
                 BytesView(reply.result.data(), reply.result.size()));
             network_.send(net::Address::node(config_.id), net::Address::client(req->client),
                           net::make_msg<bft::ReplyMsg>(config_.message_pool, reply));

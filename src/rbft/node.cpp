@@ -119,7 +119,6 @@ void Node::restart() {
     executed_.clear();
     last_reply_.clear();
     blacklisted_clients_.clear();
-    ordering_started_.clear();
     client_latency_.clear();
     master_latency_series_.clear();
     invalid_counts_.clear();
@@ -587,8 +586,8 @@ void Node::execute(const bft::RequestRef& ref) {
         reply.node = config_.id;
         reply.result = service_->execute(req->client, req->payload);
         reply.mac = crypto::compute_mac(
-            keys_.pairwise_key(crypto::Principal::node(config_.id),
-                               crypto::Principal::client(req->client)),
+            keys_.pairwise_mac_key(crypto::Principal::node(config_.id),
+                                   crypto::Principal::client(req->client)),
             BytesView(reply.result.data(), reply.result.size()));
         last_reply_[req->client] = {req->rid, reply};
         send_reply(req->client, reply);

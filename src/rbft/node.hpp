@@ -31,6 +31,8 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "bft/engine.hpp"
@@ -367,8 +369,11 @@ private:
     // until the node is destroyed.
     std::vector<std::unique_ptr<bft::InstanceEngine>> retired_engines_;
 
-    det::map<RequestKey, RequestState> requests_;
-    det::set<RequestKey> executed_;
+    // Lookup-only (never iterated, which the det-unordered-iteration lint
+    // rule enforces), so hashed.  RequestState references stay valid across
+    // inserts; iterators do not, so none is held across one.
+    std::unordered_map<RequestKey, RequestState> requests_;
+    std::unordered_set<RequestKey> executed_;
     det::map<ClientId, std::pair<RequestId, bft::ReplyMsg>> last_reply_;
     det::set<ClientId> blacklisted_clients_;
 
@@ -376,7 +381,6 @@ private:
     sim::PeriodicTimer monitor_timer_;
     std::vector<WindowCounter> ordered_counters_;     // per instance (nbreqs_i)
     std::vector<Series> monitor_series_;              // per instance
-    det::map<RequestKey, TimePoint> ordering_started_;
     det::map<ClientId, ClientLatencyStats> client_latency_;
     det::map<ClientId, Series> master_latency_series_;
     std::uint32_t grace_remaining_ = 0;

@@ -17,8 +17,8 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -255,11 +255,26 @@ private:
         auto sent_it = send_times_.find(reply.rid);
         if (sent_it == send_times_.end()) return;  // already completed / unknown
 
-        auto& voters = reply_votes_[reply.rid];
-        voters.insert(raw(reply.node));
-        // f+1 matching replies: at least one is from a correct node (the
-        // same weak-certificate bound propagate_quorum spells).
-        if (voters.size() >= propagate_quorum(f_)) {
+        // A vote counts only from the node it names, under the MAC that node
+        // shares with this client: a faulty node cannot vote for others.
+        if (from.index != raw(reply.node)) return;
+        keys_.note_mac();
+        if (!crypto::verify_mac(keys_.pairwise_mac_key(crypto::Principal::node(reply.node),
+                                                       crypto::Principal::client(id_)),
+                                BytesView(reply.result.data(), reply.result.size()),
+                                reply.mac)) {
+            return;
+        }
+
+        // Each node's first reply is its vote.  f+1 votes for the same
+        // result: at least one is from a correct node (the same
+        // weak-certificate bound propagate_quorum spells).
+        auto& votes = reply_votes_[reply.rid];
+        votes.emplace(from.index, reply.result);
+        const auto matching = std::count_if(votes.begin(), votes.end(), [&](const auto& vote) {
+            return vote.second == reply.result;
+        });
+        if (static_cast<std::uint32_t>(matching) >= propagate_quorum(f_)) {
             const Duration latency = simulator_.now() - sent_it->second;
             latencies_.add(latency.seconds());
             completions_.add(simulator_.now().seconds(), latency.millis());
@@ -288,7 +303,7 @@ private:
     std::uint64_t sent_ = 0;
     std::uint64_t retransmissions_ = 0;
     std::unordered_map<RequestId, TimePoint> send_times_;
-    std::unordered_map<RequestId, std::set<std::uint32_t>> reply_votes_;
+    std::unordered_map<RequestId, std::map<std::uint32_t, Bytes>> reply_votes_;  // node -> result
     LatencyHistogram latencies_;
     Series completions_;
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "crypto/authenticator.hpp"
 #include "crypto/cost_model.hpp"
 #include "crypto/hmac.hpp"
@@ -84,17 +85,83 @@ TEST(Sha256, ReuseAfterReset) {
               "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
+TEST(Sha256, MidstateSaveResumeRoundTrips) {
+    Bytes msg(300);
+    for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<std::uint8_t>(i * 13 + 1);
+    for (std::size_t prefix : {0ul, 64ul, 128ul, 256ul}) {
+        Sha256 head;
+        head.update(BytesView(msg.data(), prefix));
+        const Sha256Midstate saved = head.midstate();
+        EXPECT_EQ(saved.length, prefix);
+
+        Sha256 resumed(saved);
+        EXPECT_EQ(resumed.midstate(), saved);
+        resumed.update(BytesView(msg.data() + prefix, msg.size() - prefix));
+        EXPECT_EQ(resumed.finish(), sha256(BytesView(msg))) << "prefix=" << prefix;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // HMAC-SHA256 (RFC 4231).
+
+/// Textbook RFC 2104 HMAC over one-shot SHA-256 of the padded buffers: an
+/// oracle independent of the midstate path.
+Digest reference_hmac(const SymmetricKey& key, BytesView data) {
+    Bytes inner(64, 0x36), outer(64, 0x5c);
+    for (std::size_t i = 0; i < key.bytes.size(); ++i) {
+        inner[i] ^= key.bytes[i];
+        outer[i] ^= key.bytes[i];
+    }
+    inner.insert(inner.end(), data.begin(), data.end());
+    const Digest inner_digest = sha256(BytesView(inner));
+    outer.insert(outer.end(), inner_digest.bytes.begin(), inner_digest.bytes.end());
+    return sha256(BytesView(outer));
+}
+
+TEST(Hmac, Rfc4231Case2Vector) {
+    // HMAC zero-pads a short key to the block size, so "Jefe" padded to 32
+    // bytes is the RFC's 4-byte key.
+    SymmetricKey key{};
+    const char* k = "Jefe";
+    for (int i = 0; i < 4; ++i) key.bytes[i] = static_cast<std::uint8_t>(k[i]);
+    const Bytes msg = to_bytes("what do ya want for nothing?");
+    const std::string expected =
+        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843";
+    EXPECT_EQ(hmac_sha256(HmacKey(key), BytesView(msg)).hex(), expected);
+    EXPECT_EQ(hmac_sha256(key, BytesView(msg)).hex(), expected);
+    EXPECT_EQ(reference_hmac(key, BytesView(msg)).hex(), expected);
+}
+
+TEST(Hmac, MidstateKeyMatchesReferenceAcrossLengths) {
+    // Random keys x every message length 0..200, which covers the padding
+    // edges of the inner hash (55/56, 63/64, 119/120 bytes).
+    Rng rng(4231);
+    for (int trial = 0; trial < 4; ++trial) {
+        SymmetricKey key;
+        for (auto& b : key.bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+        const HmacKey prepared(key);
+        Bytes msg(200);
+        for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u64());
+        for (std::size_t len = 0; len <= msg.size(); ++len) {
+            const BytesView view(msg.data(), len);
+            const Digest expected = reference_hmac(key, view);
+            ASSERT_EQ(hmac_sha256(prepared, view), expected) << "len=" << len;
+            ASSERT_EQ(hmac_sha256(key, view), expected) << "len=" << len;
+            const Mac tag = compute_mac(prepared, view);
+            ASSERT_EQ(tag, compute_mac(key, view));
+            ASSERT_TRUE(verify_mac(prepared, view, tag));
+            ASSERT_TRUE(verify_mac(key, view, tag));
+        }
+    }
+}
 
 TEST(Hmac, Rfc4231Case2) {
     SymmetricKey key{};  // "Jefe" padded with zeros
     const char* k = "Jefe";
     for (int i = 0; i < 4; ++i) key.bytes[i] = static_cast<std::uint8_t>(k[i]);
     const Bytes msg = to_bytes("what do ya want for nothing?");
-    // RFC 4231 uses the exact 4-byte key; our API pads to 32 bytes, so this
-    // checks HMAC structure against an independently computed value for the
-    // padded key rather than the RFC digest.  Structural checks:
+    // Structural checks (the RFC digest itself is pinned by
+    // Rfc4231Case2Vector):
     const Digest d1 = hmac_sha256(key, BytesView(msg));
     const Digest d2 = hmac_sha256(key, BytesView(msg));
     EXPECT_EQ(d1, d2);
@@ -162,6 +229,24 @@ TEST(KeyStore, PairwiseKeySymmetric) {
     const auto a = Principal::node(NodeId{0});
     const auto b = Principal::client(ClientId{7});
     EXPECT_EQ(ks.pairwise_key(a, b), ks.pairwise_key(b, a));
+}
+
+TEST(KeyStore, PairwiseMacKeySymmetricAndTalliedLikePairwiseKey) {
+    KeyStore raw_keys(1), mac_keys(1);
+    const auto a = Principal::node(NodeId{0});
+    const auto b = Principal::client(ClientId{7});
+    const SymmetricKey key = raw_keys.pairwise_key(a, b);
+    EXPECT_EQ(raw_keys.pairwise_key(b, a), key);
+
+    const HmacKey& ab = mac_keys.pairwise_mac_key(a, b);
+    const HmacKey& ba = mac_keys.pairwise_mac_key(b, a);
+    EXPECT_EQ(&ab, &ba);  // one cached entry per unordered pair
+    EXPECT_EQ(ab, HmacKey(key));
+
+    EXPECT_EQ(mac_keys.stats().keys_derived, raw_keys.stats().keys_derived);
+    EXPECT_EQ(mac_keys.stats().key_cache_hits, raw_keys.stats().key_cache_hits);
+    EXPECT_EQ(mac_keys.stats().keys_derived, 1u);
+    EXPECT_EQ(mac_keys.stats().key_cache_hits, 1u);
 }
 
 TEST(KeyStore, PairwiseKeysDistinctAcrossPairs) {

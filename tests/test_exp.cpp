@@ -63,6 +63,9 @@ TEST(Harness, MeasureWindowFiltersByTime) {
         m->client = ClientId{0};
         m->rid = rid;
         m->node = n;
+        m->mac = crypto::compute_mac(keys.pairwise_mac_key(crypto::Principal::node(n),
+                                                           crypto::Principal::client(ClientId{0})),
+                                     BytesView(m->result.data(), m->result.size()));
         net.send(net::Address::node(n), net::Address::client(ClientId{0}), m);
     };
     sim.run_for(seconds(1.0));

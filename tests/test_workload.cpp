@@ -24,12 +24,24 @@ struct ClientFixture : public ::testing::Test {
         };
     }
 
-    void reply(NodeId node, ClientId client, RequestId rid) {
+    /// A correct node's REPLY: names its sender and carries the MAC the
+    /// node shares with the client.
+    std::shared_ptr<bft::ReplyMsg> make_reply(NodeId node, ClientId client, RequestId rid,
+                                              Bytes result = {}) {
         auto r = std::make_shared<bft::ReplyMsg>();
         r->client = client;
         r->rid = rid;
         r->node = node;
-        net.send(net::Address::node(node), net::Address::client(client), r);
+        r->result = std::move(result);
+        r->mac = crypto::compute_mac(
+            keys.pairwise_mac_key(crypto::Principal::node(node), crypto::Principal::client(client)),
+            BytesView(r->result.data(), r->result.size()));
+        return r;
+    }
+
+    void reply(NodeId node, ClientId client, RequestId rid) {
+        net.send(net::Address::node(node), net::Address::client(client),
+                 make_reply(node, client, rid));
     }
 
     sim::Simulator sim;
@@ -109,6 +121,53 @@ TEST_F(ClientFixture, DuplicateRepliesFromSameNodeDontCount) {
     reply(NodeId{2}, ClientId{0}, rid);
     sim.run_all();
     EXPECT_EQ(client.completed(), 0u);
+}
+
+TEST_F(ClientFixture, RepliesNamingOtherNodesDontCount) {
+    // One faulty node sends f+1 replies, each validly MACed for the node it
+    // names: only the reply naming the sender itself is a vote.
+    ClientEndpoint client(ClientId{0}, sim, net, keys, 4, 1);
+    const RequestId rid = client.send_one();
+    sim.run_all();
+    for (std::uint32_t named = 0; named < 2; ++named) {
+        net.send(net::Address::node(NodeId{3}), net::Address::client(ClientId{0}),
+                 make_reply(NodeId{named}, ClientId{0}, rid));
+    }
+    net.send(net::Address::node(NodeId{3}), net::Address::client(ClientId{0}),
+             make_reply(NodeId{3}, ClientId{0}, rid));
+    sim.run_all();
+    EXPECT_EQ(client.completed(), 0u);
+    reply(NodeId{0}, ClientId{0}, rid);  // a second genuine vote completes it
+    sim.run_all();
+    EXPECT_EQ(client.completed(), 1u);
+}
+
+TEST_F(ClientFixture, RepliesWithBadMacDontCount) {
+    ClientEndpoint client(ClientId{0}, sim, net, keys, 4, 1);
+    const RequestId rid = client.send_one();
+    sim.run_all();
+    reply(NodeId{0}, ClientId{0}, rid);
+    auto forged = make_reply(NodeId{1}, ClientId{0}, rid);
+    forged->mac.bytes[0] ^= 0x01;
+    net.send(net::Address::node(NodeId{1}), net::Address::client(ClientId{0}), forged);
+    sim.run_all();
+    EXPECT_EQ(client.completed(), 0u);
+}
+
+TEST_F(ClientFixture, CompletionRequiresMatchingResults) {
+    ClientEndpoint client(ClientId{0}, sim, net, keys, 4, 1);
+    const RequestId rid = client.send_one();
+    sim.run_all();
+    for (std::uint32_t i = 0; i < 2; ++i) {
+        net.send(net::Address::node(NodeId{i}), net::Address::client(ClientId{0}),
+                 make_reply(NodeId{i}, ClientId{0}, rid, Bytes{static_cast<std::uint8_t>(i)}));
+    }
+    sim.run_all();
+    EXPECT_EQ(client.completed(), 0u);  // two votes, two different results
+    net.send(net::Address::node(NodeId{2}), net::Address::client(ClientId{0}),
+             make_reply(NodeId{2}, ClientId{0}, rid, Bytes{1}));
+    sim.run_all();
+    EXPECT_EQ(client.completed(), 1u);  // f+1 = 2 votes for result {1}
 }
 
 TEST_F(ClientFixture, RepliesForUnknownRidIgnored) {
