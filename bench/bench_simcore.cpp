@@ -7,7 +7,9 @@
 //  * deterministic "profile" blocks (counters + per-zone call counts) that
 //    are byte-identical across runs of the same build, and
 //  * wall-derived "perf" rates (events_per_sec, requests_per_sec_wall)
-//    that the gate compares against the previous artifact.
+//    that the gate compares against the previous artifact, and
+//  * a top-level "sha256_kernel" naming the SHA-256 kernel the host ran
+//    ("sha-ni" or "portable"), which the nightly gate keys its baseline on.
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -311,6 +313,9 @@ PointOutcome profiled_outcome(const exp::RunOutput& output) {
 }
 
 void register_points(Harness& harness) {
+    // The wall rates depend on which SHA-256 kernel the host runs; naming
+    // it lets a rate jump between runs be traced to the CPU.
+    harness.add_info("sha256_kernel", crypto::sha256_kernel_name());
     harness.add_point(
         "simcore/event_queue_churn", {churn_spec()},
         [](const std::vector<exp::RunOutput>& outputs) {

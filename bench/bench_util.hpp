@@ -110,6 +110,13 @@ public:
         points_.push_back(Point{std::move(name), std::move(specs), std::move(fold)});
     }
 
+    /// A top-level string field of the artifact describing the host or
+    /// build (e.g. the SHA-256 kernel), printed with the run summary.  Not a
+    /// result: the perf gate never compares it.
+    void add_info(std::string key, std::string value) {
+        info_.emplace_back(std::move(key), std::move(value));
+    }
+
     /// Executes all points and reports.  Returns the process exit code.
     int run(int argc, char** argv) {
         // `--backend merged|speculative|master-only` re-sweeps every RBFT
@@ -188,6 +195,7 @@ public:
         print_summary();
         std::printf("# %zu run(s) across %zu point(s) on %u job(s): %.2f s wall\n", all.size(),
                     points_.size(), jobs, wall);
+        for (const auto& [key, value] : info_) std::printf("# %s: %s\n", key.c_str(), value.c_str());
         write_artifact(jobs, outputs, first_spec);
         return 0;
     }
@@ -338,7 +346,14 @@ private:
         append_escaped(json, bench_name_);
         json += ",\"title\":";
         append_escaped(json, title_);
-        json += ",\"jobs\":" + std::to_string(jobs) + ",\"points\":[";
+        json += ",\"jobs\":" + std::to_string(jobs);
+        for (const auto& [key, value] : info_) {
+            json += ',';
+            append_escaped(json, key);
+            json += ':';
+            append_escaped(json, value);
+        }
+        json += ",\"points\":[";
         for (std::size_t p = 0; p < points_.size(); ++p) {
             if (p) json += ',';
             json += "{\"name\":";
@@ -398,6 +413,7 @@ private:
 
     std::string bench_name_;
     std::string title_;
+    std::vector<std::pair<std::string, std::string>> info_;
     std::vector<Point> points_;
     std::vector<PointOutcome> outcomes_;
 };

@@ -48,13 +48,16 @@ public:
     [[nodiscard]] Digest finish() noexcept;
 
 private:
-    void process_block(const std::uint8_t* block) noexcept;
-
     std::uint32_t state_[8]{};
     std::uint64_t total_len_ = 0;
     std::uint8_t buffer_[64]{};
     std::size_t buffer_len_ = 0;
 };
+
+/// The compression kernel this process runs: "sha-ni" on CPUs with the x86
+/// SHA extensions, "portable" elsewhere.  Digests are identical either way;
+/// only wall time differs.
+[[nodiscard]] const char* sha256_kernel_name() noexcept;
 
 /// One-shot convenience wrapper.
 [[nodiscard]] Digest sha256(BytesView data) noexcept;

@@ -1,7 +1,11 @@
 // Unit tests for the crypto substrate: SHA-256 against FIPS/NIST vectors,
-// HMAC-SHA256 against RFC 4231 vectors, MACs, the keystore, MAC
-// authenticators and the cost model.
+// its two compression kernels against each other, HMAC-SHA256 against
+// RFC 4231 vectors, MACs, the keystore, MAC authenticators and the cost
+// model.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -10,6 +14,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/keystore.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernel.hpp"
 
 namespace rbft::crypto {
 namespace {
@@ -99,6 +104,112 @@ TEST(Sha256, MidstateSaveResumeRoundTrips) {
         resumed.update(BytesView(msg.data() + prefix, msg.size() - prefix));
         EXPECT_EQ(resumed.finish(), sha256(BytesView(msg))) << "prefix=" << prefix;
     }
+}
+
+TEST(Sha256, ChunkedUpdateMatchesOneShot) {
+    // Two update() calls split at every offset, for every length that puts
+    // the in-place padding at a different spot (0x80 at byte 55, 56, 63,
+    // 64...), plus a 64-block body.
+    Bytes msg(4096);
+    for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<std::uint8_t>(i * 131 + 17);
+    std::vector<std::size_t> lengths;
+    for (std::size_t len = 0; len <= 130; ++len) lengths.push_back(len);
+    lengths.push_back(4096);
+    for (const std::size_t len : lengths) {
+        const Digest oneshot = sha256(BytesView(msg.data(), len));
+        for (std::size_t split = 0; split <= len; ++split) {
+            Sha256 hasher;
+            hasher.update(BytesView(msg.data(), split));
+            hasher.update(BytesView(msg.data() + split, len - split));
+            ASSERT_EQ(hasher.finish(), oneshot) << "len=" << len << " split=" << split;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Compression kernels (crypto/sha256_kernel.hpp): the portable body is
+// checked on every host, the SHA-NI body wherever the CPU has it.
+
+using State = std::array<std::uint32_t, 8>;
+
+constexpr State kInitialState = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+constexpr State kAbcDigest = {0xba7816bf, 0x8f01cfea, 0x414140de, 0x5dae2223,
+                              0xb00361a3, 0x96177a9c, 0xb410ff61, 0xf20015ad};
+
+/// "abc" padded to one block: compressed from kInitialState it yields
+/// kAbcDigest, the FIPS 180-4 digest of "abc".
+std::array<std::uint8_t, 64> abc_block() {
+    std::array<std::uint8_t, 64> block{};
+    block[0] = 'a';
+    block[1] = 'b';
+    block[2] = 'c';
+    block[3] = 0x80;
+    block[63] = 24;  // bit length
+    return block;
+}
+
+/// A random chaining state and 1-8 random blocks, at a random 0-3 byte
+/// misalignment so the kernels' unaligned loads are exercised.
+struct KernelCase {
+    State state;
+    Bytes storage;
+    std::size_t offset = 0;
+    std::size_t nblocks = 0;
+
+    [[nodiscard]] const std::uint8_t* blocks() const { return storage.data() + offset; }
+};
+
+std::vector<KernelCase> random_kernel_cases(std::size_t count) {
+    Rng rng(1804);
+    std::vector<KernelCase> cases(count);
+    for (KernelCase& c : cases) {
+        for (auto& word : c.state) word = static_cast<std::uint32_t>(rng.next_u64());
+        c.nblocks = 1 + rng.next_u64() % 8;
+        c.offset = rng.next_u64() % 4;
+        c.storage.resize(c.offset + 64 * c.nblocks);
+        for (auto& b : c.storage) b = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    return cases;
+}
+
+State run_kernel(detail::CompressFn kernel, const KernelCase& c) {
+    State state = c.state;
+    kernel(state.data(), c.blocks(), c.nblocks);
+    return state;
+}
+
+TEST(Sha256Kernel, PortableMatchesFipsAbcBlock) {
+    State state = kInitialState;
+    const auto block = abc_block();
+    detail::compress_portable(state.data(), block.data(), 1);
+    EXPECT_EQ(state, kAbcDigest);
+}
+
+TEST(Sha256Kernel, PortableMultiBlockMatchesBlockByBlock) {
+    for (const KernelCase& c : random_kernel_cases(10'000)) {
+        State stepwise = c.state;
+        for (std::size_t i = 0; i < c.nblocks; ++i) {
+            detail::compress_portable(stepwise.data(), c.blocks() + 64 * i, 1);
+        }
+        ASSERT_EQ(run_kernel(detail::compress_portable, c), stepwise) << "nblocks=" << c.nblocks;
+    }
+}
+
+TEST(Sha256Kernel, ShaniMatchesPortable) {
+    if (!detail::have_sha_extensions()) GTEST_SKIP() << "CPU lacks the SHA extensions";
+    State state = kInitialState;
+    const auto block = abc_block();
+    detail::compress_shani(state.data(), block.data(), 1);
+    EXPECT_EQ(state, kAbcDigest);
+    for (const KernelCase& c : random_kernel_cases(10'000)) {
+        ASSERT_EQ(run_kernel(detail::compress_shani, c), run_kernel(detail::compress_portable, c))
+            << "nblocks=" << c.nblocks << " offset=" << c.offset;
+    }
+}
+
+TEST(Sha256Kernel, NameMatchesDispatch) {
+    EXPECT_STREQ(sha256_kernel_name(), detail::have_sha_extensions() ? "sha-ni" : "portable");
 }
 
 // ---------------------------------------------------------------------------

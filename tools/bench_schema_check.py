@@ -11,6 +11,7 @@ bench/bench_util.hpp):
     "bench":  "<snake_case bench name>",
     "title":  "<human title>",
     "jobs":   <positive int>,
+    "sha256_kernel": "<kernel name>",   # optional (bench_simcore)
     "points": [
       {
         "name":     "<google-benchmark entry name>",
@@ -32,7 +33,8 @@ bench/bench_util.hpp):
 
 Every field is deterministic for a given build except wall_time_s, the
 "perf" rates and the "wall" zone times; the "profile" block is the
-byte-comparable deterministic section.
+byte-comparable deterministic section.  "sha256_kernel" describes the host
+(which SHA-256 compression kernel ran), not a result.
 Exit status: 0 all files valid, 1 any violation, 2 usage/IO error.
 Stdlib only — runs on any python3, nothing to install.
 """
@@ -174,13 +176,16 @@ def validate(path):
     jobs = doc.get("jobs")
     if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         errors.append(f"jobs: expected a positive integer, got {jobs!r}")
+    if "sha256_kernel" in doc and (
+            not isinstance(doc["sha256_kernel"], str) or not doc["sha256_kernel"]):
+        errors.append(f"sha256_kernel: expected a non-empty string, got {doc['sha256_kernel']!r}")
     points = doc.get("points")
     if not isinstance(points, list) or not points:
         errors.append("points: expected a non-empty array")
     else:
         for i, point in enumerate(points):
             check_point(errors, f"points[{i}]", point, v2=(schema == "rbft-bench-v2"))
-    extra = set(doc) - {"schema", "bench", "title", "jobs", "points"}
+    extra = set(doc) - {"schema", "bench", "title", "jobs", "sha256_kernel", "points"}
     if extra:
         errors.append(f"top level: unexpected keys {sorted(extra)}")
     return errors
