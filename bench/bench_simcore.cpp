@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,6 +33,7 @@ namespace {
 
 constexpr double kChurnSimSeconds = 0.25;
 constexpr std::size_t kChurnChains = 64;
+constexpr std::size_t kStandingTimers = 2000;
 constexpr std::uint64_t kWireIters = 4000;
 constexpr std::uint64_t kWireTimedIters = 200'000;  // unprofiled timing loop
 constexpr std::size_t kWirePayloadBytes = 256;
@@ -70,6 +72,25 @@ struct TimerChain {
     }
 };
 
+/// A one-shot timer 1–250 ms out, re-armed when it fires while the clock
+/// is before `limit`: the shape of protocol and client timeouts, which
+/// park on the timing wheel's outer level.  Delays come from a per-timer
+/// LCG, so the schedule is deterministic.
+struct StandingTimer {
+    sim::Simulator* simulator = nullptr;
+    TimePoint limit{};
+    std::uint64_t state = 0;
+
+    void arm() {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        const auto spread = static_cast<std::int64_t>((state >> 33) % 249'000'000);
+        simulator->schedule_after(nanoseconds(1'000'000 + spread), [this] { fire(); });
+    }
+    void fire() {
+        if (simulator->now() < limit) arm();
+    }
+};
+
 // ---------------------------------------------------------------------------
 // Point 1: event-queue churn.  Pure simulator work — how fast the timing
 // wheel schedules/dispatches when protocol logic costs nothing.
@@ -80,8 +101,13 @@ struct TimerChain {
 // *profiled* pass re-runs it to fill the deterministic counter/zone block
 // of the artifact.  events_per_sec therefore measures the queue, not the
 // observer.
+//
+// Point 1b, event_queue_timers, runs the same chains over a standing
+// population of kStandingTimers ms-horizon timers.  The chains alone stay
+// inside the inner wheel's ≈524 µs window; the timers are what make a pop
+// pay (or not) for the outer wheel's occupancy.
 
-std::uint64_t run_churn_workload(sim::Simulator& simulator) {
+std::uint64_t run_queue_workload(sim::Simulator& simulator, std::size_t standing_timers) {
     const TimePoint limit = TimePoint{} + seconds(kChurnSimSeconds);
     std::vector<TimerChain> chains(kChurnChains);
     for (std::size_t c = 0; c < chains.size(); ++c) {
@@ -91,20 +117,27 @@ std::uint64_t run_churn_workload(sim::Simulator& simulator) {
         chains[c].limit = limit;
         chains[c].arm();
     }
+    std::vector<StandingTimer> timers(standing_timers);
+    for (std::size_t t = 0; t < timers.size(); ++t) {
+        timers[t].simulator = &simulator;
+        timers[t].limit = limit;
+        timers[t].state = t + 1;
+        timers[t].arm();
+    }
     return simulator.run_all();
 }
 
-exp::RunSpec churn_spec() {
+exp::RunSpec queue_spec(std::string label, std::uint64_t seed, std::size_t standing_timers) {
     exp::CustomRun run;
-    run.seed = 1;
+    run.seed = seed;
     run.sim_seconds = kChurnSimSeconds;
-    run.run = [] {
+    run.run = [standing_timers] {
         exp::RunOutput out;
 
         // Timed pass: bare simulator, nothing attached.
         sim::Simulator timed;
         const std::uint64_t t0 = obs::prof::wall_now_ns();
-        const std::uint64_t dispatched = run_churn_workload(timed);
+        const std::uint64_t dispatched = run_queue_workload(timed, standing_timers);
         const double wall_s =
             static_cast<double>(obs::prof::wall_now_ns() - t0) / 1e9;
 
@@ -115,13 +148,13 @@ exp::RunSpec churn_spec() {
         sim::Simulator profiled;
         profiled.set_metrics(&recorder->metrics());
         profiled.set_profiler(profiler);
-        const std::uint64_t profiled_dispatched = run_churn_workload(profiled);
+        const std::uint64_t profiled_dispatched = run_queue_workload(profiled, standing_timers);
 
         profiler->counter("sim.queue_high_water")
             ->add(static_cast<std::uint64_t>(profiled.queue_high_water()));
         if (profiled_dispatched != dispatched) {
             std::fprintf(stderr,
-                         "bench_simcore: timed/profiled churn passes diverged "
+                         "bench_simcore: timed/profiled queue passes diverged "
                          "(%llu vs %llu events)\n",
                          static_cast<unsigned long long>(dispatched),
                          static_cast<unsigned long long>(profiled_dispatched));
@@ -133,7 +166,7 @@ exp::RunSpec churn_spec() {
         out.scenario.recorder = std::move(recorder);
         return out;
     };
-    return exp::RunSpec{"event-queue churn (64 timer chains)", std::move(run)};
+    return exp::RunSpec{std::move(label), std::move(run)};
 }
 
 // ---------------------------------------------------------------------------
@@ -312,27 +345,31 @@ PointOutcome profiled_outcome(const exp::RunOutput& output) {
     return outcome;
 }
 
+/// Fold of the event-queue points: dispatch count and high water.
+auto fold_queue(std::string row_label) {
+    return [row_label = std::move(row_label)](const std::vector<exp::RunOutput>& outputs) {
+        PointOutcome o = profiled_outcome(outputs.front());
+        const obs::prof::Profiler& p = *outputs.front().scenario.recorder->profiler();
+        const double dispatched = static_cast<double>(p.counter_sum("sim.events_dispatched"));
+        const double high_water = static_cast<double>(p.counter_sum("sim.queue_high_water"));
+        o.counters.emplace_back("events_dispatched", dispatched);
+        o.counters.emplace_back("queue_high_water", high_water);
+        o.rows.push_back(Row{row_label, {{"events", dispatched}, {"high_water", high_water}}});
+        return o;
+    };
+}
+
 void register_points(Harness& harness) {
     // The wall rates depend on which SHA-256 kernel the host runs; naming
     // it lets a rate jump between runs be traced to the CPU.
     harness.add_info("sha256_kernel", crypto::sha256_kernel_name());
-    harness.add_point(
-        "simcore/event_queue_churn", {churn_spec()},
-        [](const std::vector<exp::RunOutput>& outputs) {
-            PointOutcome o = profiled_outcome(outputs.front());
-            const obs::prof::Profiler& p = *outputs.front().scenario.recorder->profiler();
-            const double dispatched =
-                static_cast<double>(p.counter_sum("sim.events_dispatched"));
-            o.counters.emplace_back("events_dispatched", dispatched);
-            o.counters.emplace_back(
-                "queue_high_water",
-                static_cast<double>(p.counter_sum("sim.queue_high_water")));
-            o.rows.push_back(Row{"event_queue_churn",
-                                 {{"events", dispatched},
-                                  {"high_water",
-                                   static_cast<double>(p.counter_sum("sim.queue_high_water"))}}});
-            return o;
-        });
+    harness.add_point("simcore/event_queue_churn",
+                      {queue_spec("event-queue churn (64 timer chains)", 1, 0)},
+                      fold_queue("event_queue_churn"));
+    harness.add_point("simcore/event_queue_timers",
+                      {queue_spec("event-queue churn (64 timer chains) + 2000 ms-horizon timers",
+                                  5, kStandingTimers)},
+                      fold_queue("event_queue_timers"));
 
     harness.add_point(
         "simcore/wire_roundtrip", {wire_spec()},

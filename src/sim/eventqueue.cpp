@@ -81,10 +81,22 @@ void WheelQueue::drop_dead_overflow_heads() {
     }
 }
 
-std::uint32_t WheelQueue::slot_min(unsigned level, unsigned slot) const {
+void WheelQueue::cascade(unsigned slot) {
+    std::uint32_t head = l1_[slot];
+    l1_[slot] = kNil;
+    l1_bits_[slot >> 6] &= ~(1ull << (slot & 63));
+    while (head != kNil) {
+        const std::uint32_t next = nodes_[head].next;
+        place(head);
+        head = next;
+    }
+}
+
+std::uint32_t WheelQueue::slot_min(unsigned level, unsigned slot) {
     const auto& heads = (level == 0) ? l0_ : l1_;
     std::uint32_t best = kNil;
     for (std::uint32_t i = heads[slot]; i != kNil; i = nodes_[i].next) {
+        ++scan_visits_;
         if (best == kNil) {
             best = i;
             continue;
@@ -118,13 +130,22 @@ std::uint32_t WheelQueue::find_min(unsigned& level_out) {
         best = slot_min(0, static_cast<unsigned>(s));
         best_level = 0;
     }
-    const unsigned c1 = (static_cast<std::uint64_t>(cursor_) >> kG1Bits) & (kSlots - 1);
+    const std::uint64_t b1 = static_cast<std::uint64_t>(cursor_) >> kG1Bits;
+    const unsigned c1 = static_cast<unsigned>(b1) & (kSlots - 1);
     if (const int s = first_occupied(l1_bits_, c1); s >= 0) {
-        const std::uint32_t m = slot_min(1, static_cast<unsigned>(s));
-        if (best == kNil || nodes_[m].at < nodes_[best].at ||
-            (nodes_[m].at == nodes_[best].at && nodes_[m].seq < nodes_[best].seq)) {
-            best = m;
-            best_level = 1;
+        // Every event in outer slot s lies in bucket b1 + dist, so that
+        // bucket's start bounds them all from below: an inner minimum
+        // strictly before it wins without scanning.  A tie at the bound
+        // still scans, for the seq tie-break.
+        const std::uint64_t dist = (static_cast<unsigned>(s) - c1) & (kSlots - 1);
+        const auto lower = static_cast<std::int64_t>((b1 + dist) << kG1Bits);
+        if (best == kNil || nodes_[best].at.ns >= lower) {
+            const std::uint32_t m = slot_min(1, static_cast<unsigned>(s));
+            if (best == kNil || nodes_[m].at < nodes_[best].at ||
+                (nodes_[m].at == nodes_[best].at && nodes_[m].seq < nodes_[best].seq)) {
+                best = m;
+                best_level = 1;
+            }
         }
     }
     drop_dead_overflow_heads();
@@ -171,43 +192,32 @@ bool WheelQueue::cancel(std::uint64_t id) {
 }
 
 bool WheelQueue::pop_due(TimePoint limit, TimePoint& at_out, Action& action_out) {
-    for (;;) {
-        if (live_ == 0) return false;
-        unsigned level = 0;
-        const std::uint32_t idx = find_min(level);
-        if (idx == kNil) return false;
-        Node& n = nodes_[idx];
-        if (n.at > limit) return false;
-        // Committed to dispatch at n.at: the cursor may advance (n is the
-        // global minimum, so every live event stays at or after it).
-        cursor_ = n.at.ns;
-        if (level == 0) {
-            unlink(idx);
-            at_out = n.at;
-            action_out = std::move(n.action);
-            free_node(idx);
-            --live_;
-            return true;
-        }
-        if (level == 1) {
-            // The head outer slot spans exactly one inner window, and the
-            // cursor now sits inside it: migrate the whole slot inward.
-            const unsigned slot = n.loc & (kSlots - 1);
-            std::uint32_t head = l1_[slot];
-            l1_[slot] = kNil;
-            l1_bits_[slot >> 6] &= ~(1ull << (slot & 63));
-            while (head != kNil) {
-                const std::uint32_t next = nodes_[head].next;
-                place(head);
-                head = next;
-            }
-            continue;
-        }
-        // level == 2: the overflow head is due; pull it inward and re-find.
+    if (live_ == 0) return false;
+    unsigned level = 0;
+    const std::uint32_t idx = find_min(level);
+    if (idx == kNil) return false;
+    Node& n = nodes_[idx];
+    if (n.at > limit) return false;
+    // Committed to dispatch at n.at: the cursor may advance (n is the
+    // global minimum, so every live event stays at or after it).  On
+    // entering a new outer bucket, cascade its slot: all of it lands on
+    // level 0, an outer-wheel n included.  Buckets skipped on the way
+    // hold nothing, since n is the global minimum.
+    const std::uint64_t from1 = static_cast<std::uint64_t>(cursor_) >> kG1Bits;
+    cursor_ = n.at.ns;
+    const std::uint64_t to1 = static_cast<std::uint64_t>(cursor_) >> kG1Bits;
+    if (to1 != from1) cascade(static_cast<unsigned>(to1) & (kSlots - 1));
+    if (level == 2) {
         std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
         overflow_.pop_back();
-        place(idx);
+    } else {
+        unlink(idx);
     }
+    at_out = n.at;
+    action_out = std::move(n.action);
+    free_node(idx);
+    --live_;
+    return true;
 }
 
 std::optional<TimePoint> WheelQueue::next_event_time() {

@@ -29,8 +29,14 @@ using Action = common::SmallFunc<64>;
 /// Level 0 buckets 2^10 ns (≈1 µs) × 512 slots (≈524 µs window); level 1
 /// buckets 2^19 ns × 512 slots (≈268 ms window); anything further sits in
 /// a min-heap until the cursor approaches.  Exact (at, seq) order — finer
-/// than bucket granularity — is restored by min-scanning the head slot,
-/// which stays short because live events spread across 512 slots.
+/// than bucket granularity — is restored by min-scanning the inner head
+/// slot, which stays short because live events spread across 512 slots.
+/// The outer head slot is scanned only when the inner minimum is not
+/// strictly before that slot's bucket start.  With the cascade below, a
+/// pop that needs the scan dispatches into a new outer bucket, so such
+/// scans number about one per bucket crossing (plus peeks and pops that
+/// find nothing due), and a pop's cost does not grow with the number of
+/// timers the outer wheel holds.
 ///
 /// Invariants (see DESIGN.md):
 ///  - cursor_ <= at for every live event (the cursor only advances to the
@@ -39,9 +45,11 @@ using Action = common::SmallFunc<64>;
 ///  - level membership is decided against the cursor at insertion and only
 ///    becomes *more* local as the cursor advances, so slot indices
 ///    (at >> granularity) & 511 never alias two buckets within a window.
-///  - outer-wheel slots migrate inward only when their minimum is the
-///    global minimum and committed to dispatch (cursor moves to it), never
-///    from next_event_time(), so peeking cannot perturb wheel state.
+///  - every outer-wheel event lies in a bucket after the cursor's: when a
+///    dispatch moves the cursor into a new outer bucket, that bucket's
+///    slot cascades into the inner wheel first.  Only pop_due() moves the
+///    cursor; next_event_time() never does, so peeking cannot perturb
+///    wheel state.
 class WheelQueue {
 public:
     WheelQueue();
@@ -64,6 +72,10 @@ public:
 
     /// Number of live events (scheduled − fired − cancelled).
     [[nodiscard]] std::size_t live() const { return live_; }
+
+    /// Nodes visited by bucket min-scans so far, both levels; a cost tally
+    /// for tests, not a simulated quantity.
+    [[nodiscard]] std::uint64_t scan_visits() const { return scan_visits_; }
 
 private:
     static constexpr unsigned kSlotBits = 9;                  // 512 slots per level
@@ -103,7 +115,8 @@ private:
     void place(std::uint32_t idx);                       // link node into L0/L1/overflow
     void unlink(std::uint32_t idx);                      // remove from its L0/L1 slot list
     void drop_dead_overflow_heads();                     // pop cancelled entries off the heap
-    [[nodiscard]] std::uint32_t slot_min(unsigned level, unsigned slot) const;
+    void cascade(unsigned slot);                         // move an outer slot inward
+    [[nodiscard]] std::uint32_t slot_min(unsigned level, unsigned slot);
     [[nodiscard]] static int first_occupied(const Bitmap& bits, unsigned start) noexcept;
 
     /// Finds the live global minimum: returns node index (kNil if empty)
@@ -119,6 +132,7 @@ private:
     std::vector<OverflowEntry> overflow_;  // min-heap under OverflowLater
     std::int64_t cursor_ = 0;              // ns; processed-up-to watermark
     std::size_t live_ = 0;
+    std::uint64_t scan_visits_ = 0;
 };
 
 }  // namespace rbft::sim
