@@ -1,6 +1,6 @@
 // Execution-backend comparison on the Figure 7 workload: master-only RBFT
-// (the paper's protocol) vs parallel-leader merged execution vs hBFT-style
-// speculative execution, f = 1, 8 B requests, fault-free.
+// (the paper's protocol) vs parallel-leader merged execution, f = 1, 8 B
+// requests, fault-free.
 //
 // Three offered loads per backend: two below the master-only knee (60% and
 // 90% of calibrated capacity, where latency is the interesting number) and
@@ -18,8 +18,7 @@ namespace rbft::bench {
 namespace {
 
 constexpr bft::ExecutionBackend kBackends[] = {bft::ExecutionBackend::kMasterOnly,
-                                               bft::ExecutionBackend::kMerged,
-                                               bft::ExecutionBackend::kSpeculative};
+                                               bft::ExecutionBackend::kMerged};
 
 /// Load fractions of master-only capacity (percent); 160 over-saturates
 /// the single verification lane.

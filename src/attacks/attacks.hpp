@@ -145,17 +145,18 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Master degradation (pointed at the speculative backend).
+// Master degradation: a slow master primary.  This is the regime where
+// parallel-leader designs (RCC) place their gain, so it is the attack the
+// merged backend is compared against master-only under.
 
 struct MasterDegradationConfig {
     /// Flat spacing between the malicious master primary's batches.  Unlike
     /// worst-attack-2 this is open-loop and well below Δ on purpose: the
-    /// point is to *get caught* so the run exercises the instance-change
-    /// path while the speculative backend has in-flight speculation — the
-    /// conflict-escalation case the conformance rig must cover.
+    /// point is to *get caught*, so the run exercises the instance-change
+    /// path while the master instance still has batches in flight.
     Duration inter_batch_gap = milliseconds(3.0);
-    /// Extra delay before each PRE_PREPARE goes out, widening the window in
-    /// which a batch is speculated but not yet committed.
+    /// Extra delay before each PRE_PREPARE goes out, stretching every
+    /// master batch's time from ordering to commit.
     Duration preprepare_delay = milliseconds(1.0);
     std::uint32_t batch_cap = 8;
 };

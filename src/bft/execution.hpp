@@ -1,22 +1,20 @@
 // The ordering→execution seam: a pluggable policy deciding which committed
-// (or speculatively prepared) per-instance orders reach the Execution
-// module, decoupled from the per-instance three-phase ordering itself.
+// per-instance orders reach the Execution module, decoupled from the
+// per-instance three-phase ordering itself.
 //
 // RBFT as published executes only the master instance's committed batches —
 // the f+1 redundant orderings exist purely so the monitoring layer can
 // police the master.  Post-2013 work shows the same architecture supports
-// richer execution disciplines: RCC-style parallel leaders (execute a
-// deterministic merge of *all* instances' committed orders) and hBFT-style
-// speculation (execute on a 2f+1-PREPARE quorum, falling back to the full
-// three-phase path on conflict).  The ExecutionPolicy interface captures
-// exactly the decision points those variants differ on; the hosting node
-// keeps all mechanism (CPU accounting, reply caching, monitoring inputs)
-// and exposes it through ExecutionSink.
+// richer execution disciplines, e.g. RCC-style parallel leaders (execute a
+// deterministic merge of *all* instances' committed orders).  The
+// ExecutionPolicy interface captures exactly the decision points those
+// variants differ on; the hosting node keeps all mechanism (CPU accounting,
+// reply caching, monitoring inputs) and exposes it through ExecutionSink.
 //
 // Layering: this header sits in src/bft next to the engine because the
 // policy hooks are called from the node's EngineHost callbacks; concrete
-// non-paper backends (merged, speculative) live in src/protocols/execution
-// and are injected via ExecutionPolicyFactory, so src/rbft never depends on
+// non-paper backends (merged) live in src/protocols/execution and are
+// injected via ExecutionPolicyFactory, so src/rbft never depends on
 // src/protocols.
 #pragma once
 
@@ -34,16 +32,14 @@ namespace rbft::bft {
 
 /// Selector for the ordering→execution backend (registry + --backend flag).
 enum class ExecutionBackend : std::uint32_t {
-    kMasterOnly = 0,   // the paper's RBFT: execute master-instance commits
-    kMerged = 1,       // parallel-leader: merge all f+1 committed orders
-    kSpeculative = 2,  // hBFT-style: execute on 2f+1 PREPAREs, escalate on conflict
+    kMasterOnly = 0,  // the paper's RBFT: execute master-instance commits
+    kMerged = 1,      // parallel-leader: merge all f+1 committed orders
 };
 
 [[nodiscard]] constexpr const char* backend_name(ExecutionBackend b) noexcept {
     switch (b) {
         case ExecutionBackend::kMasterOnly: return "master-only";
         case ExecutionBackend::kMerged: return "merged";
-        case ExecutionBackend::kSpeculative: return "speculative";
     }
     return "?";
 }
@@ -51,13 +47,12 @@ enum class ExecutionBackend : std::uint32_t {
 [[nodiscard]] inline std::optional<ExecutionBackend> parse_backend(std::string_view name) {
     if (name == "master-only" || name == "rbft") return ExecutionBackend::kMasterOnly;
     if (name == "merged") return ExecutionBackend::kMerged;
-    if (name == "speculative") return ExecutionBackend::kSpeculative;
     return std::nullopt;
 }
 
 /// FNV-1a over the request identities of a batch: the content fingerprint
-/// used by the commit safety log, the agreement oracle and the speculation
-/// conflict detector (one formula, defined once).
+/// used by the commit safety log and the agreement oracle (one formula,
+/// defined once).
 inline constexpr std::uint64_t kFingerprintSeed = 1469598103934665603ULL;
 inline constexpr std::uint64_t kFingerprintPrime = 1099511628211ULL;
 
@@ -77,8 +72,7 @@ inline constexpr std::uint64_t kFingerprintPrime = 1099511628211ULL;
 /// Node-side services an ExecutionPolicy drives.  The node owns all
 /// mechanism: sink_execute charges the Execution core, dedupes re-executions
 /// and replies to the client; sink_log_commit appends to the cross-node
-/// safety log; sink_conflict feeds the instance-change machinery (the
-/// speculation conflict detector).
+/// safety log.
 class ExecutionSink {
 public:
     virtual ~ExecutionSink() = default;
@@ -88,10 +82,6 @@ public:
 
     /// Appends (seq, fingerprint) to the node's commit safety log.
     virtual void sink_log_commit(std::uint64_t seq, std::uint64_t fingerprint) = 0;
-
-    /// A committed batch contradicted earlier speculation; the node reuses
-    /// the instance-change/monitoring machinery as the conflict handler.
-    virtual void sink_conflict(const OrderedBatch& committed) = 0;
 
     [[nodiscard]] virtual InstanceId sink_master_instance() const = 0;
 };
@@ -104,27 +94,18 @@ public:
 ///                                        bookkeeping for that request
 ///   after_batch(batch)                   once, after the request loop
 ///
-/// plus on_batch_speculative(batch) for every speculative delivery when
-/// wants_speculation() is true.  One policy instance serves one node and is
-/// recreated on restart (its state is volatile, like the rest of the node).
+/// One policy instance serves one node and is recreated on restart (its
+/// state is volatile, like the rest of the node).
 class ExecutionPolicy {
 public:
     virtual ~ExecutionPolicy() = default;
 
     [[nodiscard]] virtual const char* name() const noexcept = 0;
 
-    /// True ⇒ the node's master-instance engine emits speculative batches
-    /// at speculative_quorum(f) PREPAREs (EngineConfig::speculative_execution).
-    [[nodiscard]] virtual bool wants_speculation() const noexcept { return false; }
-
     virtual void on_batch_committed(const OrderedBatch& batch, ExecutionSink& sink) = 0;
     virtual void on_ref_committed(const OrderedBatch& batch, const RequestRef& ref,
                                   ExecutionSink& sink) = 0;
     virtual void after_batch(const OrderedBatch& batch, ExecutionSink& sink) {
-        (void)batch;
-        (void)sink;
-    }
-    virtual void on_batch_speculative(const OrderedBatch& batch, ExecutionSink& sink) {
         (void)batch;
         (void)sink;
     }

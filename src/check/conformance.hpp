@@ -4,14 +4,16 @@
 // same closed-loop request set — executed (client, request) pairs are
 // collected from client completions and compared across protocols.
 // Divergence means one implementation dropped, duplicated or invented a
-// request the others agreed on.
+// request the others agreed on.  Only the *sets* are compared, not the
+// order in which requests executed, so this rig cannot see two backends
+// executing the same requests in different orders.
 //
 // The contender list comes from protocols::protocol_registry(); a new
 // backend registered there automatically becomes a conformance contender.
 // Attack knobs (equivocation, master degradation) apply to the RBFT family
 // only and automatically restrict the run to it — the comparison is then
-// "merged/speculative commit the same request set as master-only RBFT even
-// under attack".
+// "merged commits the same request set as master-only RBFT even under
+// attack".
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,8 @@ struct ConformanceScenario {
     /// only; selecting it drops the baselines from the run).
     std::uint64_t equivocate_mask = 0;
     /// Degrade the master primary (attacks::MasterDegradation — the
-    /// anti-speculation attack; RBFT family only, drops the baselines).
+    /// slow-master attack merged is compared under; RBFT family only, drops
+    /// the baselines).
     bool master_degradation = false;
 
     [[nodiscard]] bool attacked() const noexcept {

@@ -3,9 +3,8 @@
 // There is deliberately no global logger: a `Logger` is owned by whoever
 // owns the run (a bench harness, an example's main(), a test) and threaded
 // through the simulation context as a nullable pointer — the same ownership
-// pattern as `obs::Recorder*`.  `core::ClusterConfig::logger` hands it to
-// `sim::Simulator::set_logger()`, from where every component holding a
-// Simulator& can reach it.  This keeps concurrent runs byte-independent:
+// pattern as `obs::Recorder*`; `core::ClusterConfig::logger` is where a run
+// hands it in.  This keeps concurrent runs byte-independent:
 // N simulations on N threads each write to their own logger/sink with no
 // shared mutable state and no synchronization.
 //

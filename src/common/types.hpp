@@ -69,15 +69,6 @@ enum class RequestId : std::uint64_t {};
     return f + 1;
 }
 
-/// hBFT-style speculative execution threshold: a batch backed by 2f+1
-/// PREPAREs (a commit-sized quorum gathered one phase early) may be
-/// executed speculatively; any two such quorums intersect in a correct
-/// replica, so conflicting speculation is detectable and escalates to the
-/// full three-phase path.
-[[nodiscard]] constexpr std::uint32_t speculative_quorum(std::uint32_t f) noexcept {
-    return 2 * f + 1;
-}
-
 /// Parallel-leader merged execution consumes the committed orders of all
 /// f+1 redundant instances: the number of per-instance streams the
 /// deterministic merge interleaves.

@@ -369,8 +369,7 @@ void check_quorum_arith(const SourceFile& file, const FileAnalysis& fa,
         if ((num(i, "3") || num(i, "2")) && star(i + 1) && is_f(i + 2)) {
             const bool three = num(i, "3");
             if (plus(i + 3) && num(i + 4, "1")) {
-                flag(i, 5,
-                     three ? "cluster_size(f)" : "commit_quorum(f) or speculative_quorum(f)",
+                flag(i, 5, three ? "cluster_size(f)" : "commit_quorum(f)",
                      three ? "3*f+1" : "2*f+1");
             } else if (!three) {
                 flag(i, 3, "prepare_quorum(f)", "2*f");
@@ -381,8 +380,7 @@ void check_quorum_arith(const SourceFile& file, const FileAnalysis& fa,
         if (is_f(i) && star(i + 1) && (num(i + 2, "3") || num(i + 2, "2"))) {
             const bool three = num(i + 2, "3");
             if (plus(i + 3) && num(i + 4, "1")) {
-                flag(i, 5,
-                     three ? "cluster_size(f)" : "commit_quorum(f) or speculative_quorum(f)",
+                flag(i, 5, three ? "cluster_size(f)" : "commit_quorum(f)",
                      three ? "f*3+1" : "f*2+1");
             } else if (!three) {
                 flag(i, 3, "prepare_quorum(f)", "f*2");

@@ -1,9 +1,6 @@
 #include "protocols/aardvark/aardvark.hpp"
 
 #include <algorithm>
-#include <cstdio>
-
-#include "common/logging.hpp"
 
 namespace rbft::protocols {
 
@@ -63,14 +60,6 @@ void AardvarkNode::tick() {
     // a load transition (queue fill) without the primary being at fault.
     if (required_tps_ > 0.0 && measured_tps < required_tps_ && demand_unmet) {
         if (++bad_windows_ < 2) return;
-        if (Logger* lg = simulator_.logger(); lg && lg->enabled(LogLevel::kDebug)) {
-            char buf[160];
-            std::snprintf(buf, sizeof(buf),
-                          "[%u] t=%.2f VC(required) measured=%.0f required=%.0f offered=%.0f pend=%zu",
-                          raw(config_.id), simulator_.now().seconds(), measured_tps,
-                          required_tps_, offered_tps, engine_->pending_requests());
-            lg->log(LogLevel::kDebug, "aardvark", buf);
-        }
         trigger_view_change();
         return;
     }
@@ -83,12 +72,6 @@ void AardvarkNode::tick() {
         const TimePoint last_sign_of_life =
             std::max(view_start_, engine_->last_preprepare_seen());
         if (simulator_.now() - last_sign_of_life > acfg_.heartbeat_timeout) {
-            if (Logger* lg = simulator_.logger(); lg && lg->enabled(LogLevel::kDebug)) {
-                char buf[64];
-                std::snprintf(buf, sizeof(buf), "[%u] t=%.2f VC(heartbeat)", raw(config_.id),
-                              simulator_.now().seconds());
-                lg->log(LogLevel::kDebug, "aardvark", buf);
-            }
             trigger_view_change();
         }
     }

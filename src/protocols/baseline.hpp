@@ -19,7 +19,6 @@
 #include "bft/engine.hpp"
 #include "bft/messages.hpp"
 #include "common/det.hpp"
-#include "common/logging.hpp"
 #include "crypto/cost_model.hpp"
 #include "crypto/keystore.hpp"
 #include "net/flood.hpp"
@@ -53,9 +52,6 @@ struct BaselineConfig {
     /// Observability sink (copied to every node from the cluster template;
     /// must outlive the cluster).  Null = disabled.
     obs::Recorder* recorder = nullptr;
-    /// Per-run logger threaded to sim::Simulator::set_logger() (must outlive
-    /// the cluster); null = logging disabled.
-    Logger* logger = nullptr;
     /// Message pool (null = plain make_shared); must outlive the node.
     net::MessagePool* message_pool = nullptr;
     /// Bounded client queues (Aardvark §III-B: fair scheduling between

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/logging.hpp"
 #include "crypto/cost_model.hpp"
 #include "crypto/keystore.hpp"
 #include "net/network.hpp"
@@ -31,20 +30,16 @@ public:
         // Attach observability when the template carries a recorder (directly
         // for Prime, nested in the shared BaselineConfig for the others).
         obs::Recorder* recorder = nullptr;
-        Logger* logger = nullptr;
         if constexpr (requires { node_template.recorder; }) {
             recorder = node_template.recorder;
-            logger = node_template.logger;
         } else {
             recorder = node_template.base.recorder;
-            logger = node_template.base.logger;
         }
         if (recorder) {
             simulator_.set_metrics(&recorder->metrics());
             simulator_.set_profiler(recorder->profiler());
             network_->set_recorder(recorder);
         }
-        simulator_.set_logger(logger);
         for (std::uint32_t i = 0; i < n_; ++i) {
             ConfigT cfg = node_template;
             cfg.assign_topology(NodeId{i}, n_, f_);

@@ -1,7 +1,6 @@
 #include "protocols/prime/prime.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 
 namespace rbft::protocols::prime {
@@ -361,14 +360,6 @@ void PrimeNode::check_tick() {
     suspected_current_ = true;
     ++stats_.suspects_sent;
     if (ctr_suspects_sent_) ctr_suspects_sent_->add();
-    if (Logger* lg = simulator_.logger(); lg && lg->enabled(LogLevel::kDebug)) {
-        char buf[128];
-        std::snprintf(buf, sizeof(buf), "[%u] t=%.3f SUSPECT gap=%.1fms bound=%.1fms rtt=%.2fms",
-                      raw(config_.id), simulator_.now().seconds(),
-                      (simulator_.now() - last_order_received_).millis(),
-                      order_bound().millis(), rtt_estimate_.millis());
-        lg->log(LogLevel::kDebug, "prime", buf);
-    }
     auto suspect = net::make_msg<PrimeSuspectMsg>(config_.message_pool);
     suspect->sender = config_.id;
     suspect->round = rotation_round_;

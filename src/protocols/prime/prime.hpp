@@ -30,7 +30,6 @@
 
 #include "bft/messages.hpp"
 #include "common/det.hpp"
-#include "common/logging.hpp"
 #include "common/timeseries.hpp"
 #include "crypto/cost_model.hpp"
 #include "crypto/keystore.hpp"
@@ -75,9 +74,6 @@ struct PrimeConfig {
     /// Observability sink (copied to every node from the cluster template;
     /// must outlive the cluster).  Null = disabled.
     obs::Recorder* recorder = nullptr;
-    /// Per-run logger threaded to sim::Simulator::set_logger() (must outlive
-    /// the cluster); null = logging disabled.
-    Logger* logger = nullptr;
     /// Message pool (null = plain make_shared); must outlive the node.
     net::MessagePool* message_pool = nullptr;
 };

@@ -1,7 +1,6 @@
 #include "protocols/registry.hpp"
 
 #include "protocols/execution/merged.hpp"
-#include "protocols/execution/speculative.hpp"
 
 namespace rbft::protocols {
 
@@ -9,7 +8,6 @@ const std::vector<ProtocolEntry>& protocol_registry() {
     static const std::vector<ProtocolEntry> kRegistry = {
         {"rbft", Family::kRbft, bft::ExecutionBackend::kMasterOnly},
         {"rbft-merged", Family::kRbft, bft::ExecutionBackend::kMerged},
-        {"rbft-speculative", Family::kRbft, bft::ExecutionBackend::kSpeculative},
         {"aardvark", Family::kAardvark},
         {"spinning", Family::kSpinning},
         {"prime", Family::kPrime},
@@ -31,10 +29,6 @@ bft::ExecutionPolicyFactory make_execution_policy(bft::ExecutionBackend backend)
         case bft::ExecutionBackend::kMerged:
             return [](std::uint32_t f, std::uint32_t instances) {
                 return std::make_unique<MergedExecution>(f, instances);
-            };
-        case bft::ExecutionBackend::kSpeculative:
-            return [](std::uint32_t, std::uint32_t) {
-                return std::make_unique<SpeculativeExecution>();
             };
     }
     return nullptr;

@@ -8,7 +8,7 @@
 //  - the protocol family (RBFT vs the Aardvark / Spinning / Prime
 //    baselines), and
 //  - for the RBFT family, the ordering→execution backend
-//    (master-only / merged / speculative, src/protocols/execution).
+//    (master-only / merged, src/protocols/execution).
 #pragma once
 
 #include <cstdint>

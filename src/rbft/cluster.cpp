@@ -13,7 +13,6 @@ Cluster::Cluster(ClusterConfig config, ServiceFactory service_factory)
         simulator_.set_profiler(config_.recorder->profiler());
         network_->set_recorder(config_.recorder);
     }
-    simulator_.set_logger(config_.logger);
 
     for (std::uint32_t i = 0; i < config_.n(); ++i) {
         NodeConfig nc;

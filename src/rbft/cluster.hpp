@@ -51,9 +51,9 @@ struct ClusterConfig {
     /// Observability sink shared by the simulator, network and every node
     /// (must outlive the cluster); null = observability disabled.
     obs::Recorder* recorder = nullptr;
-    /// Per-run logger threaded through sim::Simulator::set_logger() (must
-    /// outlive the cluster); null = logging disabled.  There is no global
-    /// logger, so concurrent clusters never share logging state.
+    /// Per-run logger for cluster lifecycle messages (must outlive the
+    /// cluster); null = logging disabled.  There is no global logger, so
+    /// concurrent clusters never share logging state.
     Logger* logger = nullptr;
 
     [[nodiscard]] std::uint32_t n() const noexcept { return cluster_size(f); }

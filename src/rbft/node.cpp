@@ -70,9 +70,6 @@ void Node::make_engines(bool recovering) {
         ec.recorder = config_.recorder;
         ec.message_pool = config_.message_pool;
         ec.test_faults = config_.engine_test_faults;
-        // Only the master instance speculates: backups exist to police the
-        // master, and their speculative deliveries would be dead weight.
-        ec.speculative_execution = policy_->wants_speculation() && i == 0;
         engines_.push_back(std::make_unique<bft::InstanceEngine>(
             ec, simulator_, replica_core(InstanceId{i}), keys_, costs_, *this));
     }
@@ -103,8 +100,7 @@ void Node::restart() {
     if (!crashed_) return;
     for (auto& engine : engines_) retired_engines_.push_back(std::move(engine));
     engines_.clear();
-    // The execution policy's state is volatile, like the engines': rebuild it
-    // before the engines so the new master engine sees its speculation flag.
+    // The execution policy's state is volatile, like the engines': rebuild it.
     policy_ = config_.execution_policy
                   ? config_.execution_policy(config_.f, config_.instance_count())
                   : std::make_unique<bft::MasterOnlyExecution>();
@@ -507,8 +503,7 @@ void Node::engine_ordered(const bft::OrderedBatch& batch) {
     // Backend-specific batch work: the master-only and merged policies
     // fingerprint master batches into the safety log here (kept across
     // restarts — a recovered node's log simply has a hole where state
-    // transfer skipped delivery); the speculative policy additionally
-    // cross-checks the commit against its speculation record.
+    // transfer skipped delivery).
     policy_->on_batch_committed(batch, *this);
 
     for (const auto& ref : batch.requests) {
@@ -538,24 +533,12 @@ void Node::engine_ordered(const bft::OrderedBatch& batch) {
     policy_->after_batch(batch, *this);
 }
 
-void Node::engine_speculative(const bft::OrderedBatch& batch) {
-    if (crashed_) return;
-    policy_->on_batch_speculative(batch, *this);
-}
-
 // -- ExecutionSink -----------------------------------------------------------
 
 void Node::sink_execute(const bft::RequestRef& ref) { execute(ref); }
 
 void Node::sink_log_commit(std::uint64_t seq, std::uint64_t fingerprint) {
     commit_log_.emplace_back(seq, fingerprint);
-}
-
-void Node::sink_conflict(const bft::OrderedBatch&) {
-    // A committed master batch contradicted earlier speculation.  The
-    // instance-change machinery is RBFT's existing lever against a
-    // misbehaving master primary, so escalation rides on it (§IV-D).
-    vote_instance_change(IcReason::kSpeculation);
 }
 
 void Node::execute(const bft::RequestRef& ref) {

@@ -120,7 +120,7 @@ struct NodeConfig {
 
     /// Ordering→execution backend seam.  Null = the paper's master-only
     /// policy (byte-identical to the pre-seam node); src/protocols/execution
-    /// supplies merged / speculative factories.
+    /// supplies the merged factory.
     bft::ExecutionPolicyFactory execution_policy;
 
     /// Client-facing pipeline lanes: the Verification and Propagation
@@ -173,9 +173,6 @@ public:
         kLambda = 1,
         kOmega = 2,
         kJoin = 3,
-        /// A committed master batch contradicted earlier speculation
-        /// (speculative backend): escalate via the instance-change path.
-        kSpeculation = 4,
     };
 
     Node(NodeConfig config, sim::Simulator& simulator, net::Fabric& network,
@@ -191,7 +188,6 @@ public:
     // -- EngineHost ----------------------------------------------------------
     void engine_send(InstanceId instance, NodeId dest, net::MessagePtr m) override;
     void engine_ordered(const bft::OrderedBatch& batch) override;
-    void engine_speculative(const bft::OrderedBatch& batch) override;
     bool engine_request_cleared(const bft::RequestRef& ref) override;
     void engine_view_installed(InstanceId instance, ViewId view) override;
     [[nodiscard]] std::uint64_t host_cpi() const override { return cpi_; }
@@ -199,7 +195,6 @@ public:
     // -- ExecutionSink (driven by the ExecutionPolicy) -----------------------
     void sink_execute(const bft::RequestRef& ref) override;
     void sink_log_commit(std::uint64_t seq, std::uint64_t fingerprint) override;
-    void sink_conflict(const bft::OrderedBatch& committed) override;
     [[nodiscard]] InstanceId sink_master_instance() const override { return master_instance(); }
 
     // -- Introspection / control ---------------------------------------------

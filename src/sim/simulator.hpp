@@ -23,10 +23,6 @@ class Profiler;
 struct ZoneStats;
 }  // namespace rbft::obs::prof
 
-namespace rbft {
-class Logger;
-}
-
 namespace rbft::sim {
 
 /// Identifies a scheduled event so protocol timers can be cancelled.
@@ -98,12 +94,6 @@ public:
     /// Deepest the live pending-event count has ever been.
     [[nodiscard]] std::size_t queue_high_water() const noexcept { return queue_high_water_; }
 
-    /// Attaches the run's logger (nullable, like the recorder): components
-    /// holding a Simulator& log through it, so concurrent simulations never
-    /// share logging state.  Null (the default) disables logging.
-    void set_logger(Logger* logger) noexcept { logger_ = logger; }
-    [[nodiscard]] Logger* logger() const noexcept { return logger_; }
-
 private:
     /// Advances the clock to `at` and runs `action` inside the
     /// "sim.dispatch" zone (root-zone fast path when un-nested).
@@ -111,7 +101,6 @@ private:
 
     TimePoint now_{};
     std::uint64_t dispatched_total_ = 0;
-    Logger* logger_ = nullptr;
     obs::Counter* scheduled_counter_ = nullptr;
     obs::Counter* dispatched_counter_ = nullptr;
     obs::Gauge* queue_depth_gauge_ = nullptr;

@@ -13,10 +13,10 @@
 //     yields the identical stream.
 //
 //  2. BackendConformance / BackendSweep — full-cluster differential runs
-//     via check::run_conformance: master-only RBFT, merged and speculative
-//     must complete the same closed-loop request set, fault-free and under
-//     the two attack knobs (equivocating master pre-prepares, degraded
-//     master primary).  The 20-seed sweep carries the tier-2 label.
+//     via check::run_conformance: master-only RBFT and merged must complete
+//     the same closed-loop request set, fault-free and under the two attack
+//     knobs (equivocating master pre-prepares, degraded master primary).
+//     The 20-seed sweep carries the tier-2 label.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -177,13 +177,13 @@ TEST(MergeOracle, DuplicateSuppressionDoesNotConsumeTheTurn) {
 check::ConformanceScenario backend_scenario(std::uint64_t seed) {
     check::ConformanceScenario s;
     s.seed = seed;
-    s.contenders = {"rbft", "rbft-merged", "rbft-speculative"};
+    s.contenders = {"rbft", "rbft-merged"};
     return s;
 }
 
 void expect_conformant(const check::ConformanceScenario& scenario, const char* label) {
     const check::ConformanceResult result = check::run_conformance(scenario);
-    ASSERT_EQ(result.runs.size(), 3u) << label;
+    ASSERT_EQ(result.runs.size(), 2u) << label;
     for (const auto& run : result.runs) {
         EXPECT_TRUE(run.all_completed)
             << label << ": " << run.protocol << " completed " << run.completed << " of "
@@ -197,8 +197,8 @@ TEST(BackendConformance, FaultFreeBackendsMatchMasterOnly) {
 }
 
 TEST(BackendConformance, MasterDegradationAttack) {
-    // The anti-speculation attack: a slow master gets caught by monitoring
-    // and replaced while speculative execution is in flight.
+    // The slow-master attack: the master primary gets caught by monitoring
+    // and replaced while master batches are still in flight.
     check::ConformanceScenario s = backend_scenario(12);
     s.master_degradation = true;
     expect_conformant(s, "master degradation");

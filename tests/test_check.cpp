@@ -371,9 +371,9 @@ TEST(Conformance, AllProtocolsExecuteTheSameRequestSet) {
     ConformanceScenario scenario;
     scenario.requests_per_client = 10;
     const ConformanceResult result = run_conformance(scenario);
-    // Every registry contender: three RBFT execution backends + the three
+    // Every registry contender: two RBFT execution backends + the three
     // baseline protocols.
-    ASSERT_EQ(result.runs.size(), 6u);
+    ASSERT_EQ(result.runs.size(), 5u);
     for (const ProtocolExecution& run : result.runs) {
         EXPECT_TRUE(run.all_completed) << run.protocol << " completed " << run.completed;
         EXPECT_EQ(run.executed.size(),

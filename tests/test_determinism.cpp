@@ -6,8 +6,8 @@
 //
 // The chaos-soak double-run lives in test_fault.cpp; this file covers the
 // RBFT runner and all three baseline protocols, fault-free and under their
-// paper attacks (the `EquivalenceFigures` suite), plus the speculative
-// backend under worst-attack-2.
+// paper attacks (the `EquivalenceFigures` suite), plus the merged backend
+// (multi-lane node path) under worst-attack-2.
 #include <sstream>
 #include <string>
 
@@ -123,11 +123,11 @@ TEST(EquivalenceFigures, Fig3SpinningAttack) {
                           baseline_runner(), "fig3 spinning attack");
 }
 
-TEST(EquivalenceFigures, SpeculativeBackendUnderWorst2Attack) {
+TEST(EquivalenceFigures, MergedBackendUnderWorst2Attack) {
     RbftScenario s = short_rbft();
     s.attack = RbftScenario::Attack::kWorst2;
-    s.backend = bft::ExecutionBackend::kSpeculative;
-    expect_byte_identical(s, rbft_runner(), "speculative backend worst-attack-2");
+    s.backend = bft::ExecutionBackend::kMerged;
+    expect_byte_identical(s, rbft_runner(), "merged backend worst-attack-2");
 }
 
 TEST(SeedDeterminism, ProfilingDoesNotPerturbTheSimulation) {

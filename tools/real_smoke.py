@@ -15,10 +15,13 @@ localhost TCP, SIGKILLs one replica mid-run, restarts it, and asserts:
      reference byte-for-byte.
 
 Exit code 0 on success, 1 on any assertion failure (node/client logs are
-left in --outdir for post-mortem), 2 on usage/setup errors.
+left in --outdir for post-mortem, and the tail of each process's output
+plus each commit log's last seq are copied to stderr), 2 on usage/setup
+errors.
 """
 
 import argparse
+import glob
 import os
 import shutil
 import signal
@@ -26,6 +29,9 @@ import socket
 import subprocess
 import sys
 import time
+
+# Lines of each process's output copied to stderr on failure.
+OUT_TAIL_LINES = 30
 
 
 def free_ports(count):
@@ -124,9 +130,25 @@ def main():
                 p.kill()
             out.close()
 
+    def dump_evidence():
+        """Copies the failure evidence to stderr, so it survives the next
+        run wiping --outdir: each process's output tail and each commit
+        log's last seq."""
+        for path in sorted(glob.glob(os.path.join(args.outdir, "*.out"))):
+            with open(path, errors="replace") as f:
+                tail = f.readlines()[-OUT_TAIL_LINES:]
+            print(f"--- last {len(tail)} lines of {path} ---", file=sys.stderr)
+            sys.stderr.writelines(tail)
+            if tail and not tail[-1].endswith("\n"):
+                print(file=sys.stderr)
+        for path in sorted(glob.glob(os.path.join(args.outdir, "*.log"))):
+            _, last = read_log(path)
+            print(f"--- {path}: last seq {last}", file=sys.stderr)
+
     def fail(msg):
         print(f"FAIL: {msg}", file=sys.stderr)
         print(f"artifacts left in {args.outdir}", file=sys.stderr)
+        dump_evidence()
         shutdown()
         return 1
 
