@@ -26,6 +26,7 @@
 
 #include "bft/messages.hpp"
 #include "common/det.hpp"
+#include "common/request_key_set.hpp"
 #include "common/timeseries.hpp"
 #include "common/types.hpp"
 #include "crypto/cost_model.hpp"
@@ -226,6 +227,10 @@ public:
     [[nodiscard]] SeqNum last_stable() const noexcept { return last_stable_; }
     [[nodiscard]] SeqNum next_to_deliver() const noexcept { return next_deliver_; }
     [[nodiscard]] std::size_t pending_requests() const noexcept { return pending_.size(); }
+    /// This replica has delivered `key` in an ordered batch.
+    [[nodiscard]] bool has_ordered(const RequestKey& key) const {
+        return ordered_keys_.contains(key);
+    }
     [[nodiscard]] TimePoint last_preprepare_seen() const noexcept { return last_pp_seen_; }
 
     /// Age of the oldest request submitted but not yet ordered (drives the
@@ -312,9 +317,11 @@ private:
     std::map<std::uint64_t, Slot> slots_;  // keyed by raw seq, ordered
     std::deque<RequestRef> pending_;
     // Lookup-only request-key sets (never iterated, which the
-    // det-unordered-iteration lint rule enforces), so hashed.
+    // det-unordered-iteration lint rule enforces), so hashed.  Pending keys
+    // leave the set as batches form; ordered keys never leave it, so that
+    // set stores per-client rid ranges.
     std::unordered_set<RequestKey> pending_keys_;
-    std::unordered_set<RequestKey> ordered_keys_;
+    RequestKeySet ordered_keys_;
     std::unordered_set<RequestKey> waiting_keys_;  // submitted, not yet ordered
     std::deque<std::pair<RequestKey, TimePoint>> waiting_fifo_;
     std::vector<PrePrepareMsg> buffered_pps_;  // awaiting clearance or view

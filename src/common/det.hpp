@@ -15,11 +15,12 @@
 // sequence container) whenever it is iterated; `tools/rbft_lint` enforces
 // the rule (`det-unordered-iteration`).
 //
-// The O(log n) lookup is not free: on the fig7 workload the ordered
-// request-key sets cost ~14% of wall time.  A container that is only ever
-// looked up (find/contains/insert/erase/clear) may therefore be a
-// `std::unordered_*`: hash order never reaches the schedule because the
-// lint rule forbids iterating it.
+// The O(log n) lookup of an ordered tree keyed on every request is not
+// free, so a container that is only ever looked up
+// (find/contains/insert/erase/clear) may be a `std::unordered_*`: hash
+// order never reaches the schedule because the lint rule forbids iterating
+// it.  Insert-only request-key sets are `RequestKeySet`s
+// (common/request_key_set.hpp), which store per-client rid ranges.
 #pragma once
 
 #include <cstddef>

@@ -127,15 +127,14 @@ void BaselineNode::engine_ordered(const bft::OrderedBatch& batch) {
 
 void BaselineNode::execute_request(const bft::RequestRef& ref) {
     auto it = known_requests_.find(ref.key());
-    if (it == known_requests_.end()) return;  // body never arrived here
-    if (executed_.contains(ref.key())) return;
+    if (it == known_requests_.end()) return;  // body never arrived, or executed
     const auto req = it->second;
 
     const Duration cost = req->exec_cost + costs_.mac_op + costs_.send_overhead;
     cpu_.core(0).submit(simulator_, cost, [this, req] {
         const RequestKey key{req->client, req->rid};
-        if (executed_.contains(key)) return;
-        executed_.insert(key);
+        if (!executed_.insert(key)) return;
+        known_requests_.erase(key);
         ++stats_.requests_executed;
         if (ctr_requests_executed_) ctr_requests_executed_->add();
 

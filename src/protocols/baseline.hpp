@@ -19,6 +19,7 @@
 #include "bft/engine.hpp"
 #include "bft/messages.hpp"
 #include "common/det.hpp"
+#include "common/request_key_set.hpp"
 #include "crypto/cost_model.hpp"
 #include "crypto/keystore.hpp"
 #include "net/flood.hpp"
@@ -117,8 +118,9 @@ protected:
     sim::NodeCpu cpu_;  // single core: everything serializes through core 0
     std::unique_ptr<bft::InstanceEngine> engine_;
 
+    // Bodies of verified, not yet executed requests (erased on execution).
     det::map<RequestKey, std::shared_ptr<const bft::RequestMsg>> known_requests_;
-    det::set<RequestKey> executed_;
+    RequestKeySet executed_;
     det::map<ClientId, std::pair<RequestId, bft::ReplyMsg>> last_reply_;
     det::set<ClientId> blacklisted_clients_;
 

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "bft/execution.hpp"
-#include "common/det.hpp"
+#include "common/request_key_set.hpp"
 
 namespace rbft::protocols {
 
@@ -57,6 +57,7 @@ public:
             while (!q.empty() && emitted_.contains(q.front().key())) q.pop_front();
             if (q.empty()) return;  // stall until this instance commits more
             emitted_.insert(q.front().key());
+            ++emitted_count_;
             emit(q.front());
             q.pop_front();
             cursor_ = (cursor_ + 1) % static_cast<std::uint32_t>(queues_.size());
@@ -64,11 +65,12 @@ public:
     }
 
     /// Requests emitted so far (the oracle test checks duplicate-freedom).
-    [[nodiscard]] std::uint64_t emitted_count() const noexcept { return emitted_.size(); }
+    [[nodiscard]] std::uint64_t emitted_count() const noexcept { return emitted_count_; }
 
 private:
     std::vector<std::deque<bft::RequestRef>> queues_;
-    det::set<RequestKey> emitted_;
+    RequestKeySet emitted_;
+    std::uint64_t emitted_count_ = 0;
     std::uint32_t cursor_ = 0;
 };
 

@@ -1,7 +1,9 @@
 #include "rbft/node.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <stdexcept>
 
 namespace rbft::core {
 
@@ -21,6 +23,8 @@ Node::Node(NodeConfig config, sim::Simulator& simulator, net::Fabric& network,
       costs_(costs),
       service_(std::move(service)),
       cpu_(config.cores) {
+    // Propagator sets and the corrupt-MAC masks are 64-bit node masks.
+    if (config_.n > 64) throw std::invalid_argument("rbft::core::Node supports at most 64 nodes");
     const std::uint32_t instances = config_.instance_count();
     policy_ = config_.execution_policy ? config_.execution_policy(config_.f, instances)
                                        : std::make_unique<bft::MasterOnlyExecution>();
@@ -112,6 +116,8 @@ void Node::restart() {
     // piggybacks / instance-change quorums.  (Application state transfer is
     // not modeled; the service restarts empty, like the ordering log.)
     requests_.clear();
+    retired_.clear();
+    retired_dispatch_.clear();
     executed_.clear();
     last_reply_.clear();
     blacklisted_clients_.clear();
@@ -287,8 +293,14 @@ void Node::verification_receive(net::Address from,
     }
 
     // Cheap dedup before any crypto: a request already adopted (or being
-    // verified) via either path is dropped without re-hashing its body.
-    if (auto it = requests_.find(RequestKey{req->client, req->rid});
+    // verified) via either path, or retired, is dropped without re-hashing
+    // its body.
+    const RequestKey key{req->client, req->rid};
+    if (retired_.contains(key)) {
+        verification_core(lane).charge(simulator_, costs_.recv_overhead);
+        return;
+    }
+    if (auto it = requests_.find(key);
         it != requests_.end() && (it->second.request || it->second.verifying)) {
         verification_core(lane).charge(simulator_, costs_.recv_overhead);
         // Repair mode: a retransmission of an adopted-but-unexecuted request
@@ -297,8 +309,7 @@ void Node::verification_receive(net::Address from,
         // the original PROPAGATEs, which predate its restart; client backoff
         // rate-limits the re-offers.
         if (config_.engine_retry_interval.ns > 0 && it->second.request &&
-            it->second.self_propagated &&
-            !executed_.contains(RequestKey{req->client, req->rid})) {
+            it->second.self_propagated && !executed_.contains(key)) {
             const auto stored = it->second.request;
             verification_core(lane)
                 .submit(simulator_, costs_.mac_op, [this, lane, req, stored] {
@@ -314,7 +325,7 @@ void Node::verification_receive(net::Address from,
     if (verification_core(lane).backlog(simulator_) > milliseconds(50.0)) {
         return;  // bounded client queue: shed under overload
     }
-    requests_[RequestKey{req->client, req->rid}].verifying = true;
+    requests_[key].verifying = true;
 
     // MAC authenticator check: hash the body once, check our entry.
     const Duration mac_cost =
@@ -377,11 +388,17 @@ void Node::verification_receive(net::Address from,
 
 void Node::propagation_self(const std::shared_ptr<const bft::RequestMsg>& req, bool re_offer) {
     const RequestKey key{req->client, req->rid};
-    RequestState& state = requests_[key];
-    if (state.self_propagated && !re_offer) return;
-    state.self_propagated = true;
-    state.propagated_by.insert(config_.id);
-    if (!state.request) state.request = req;
+    // A retired request was self-propagated; only a repair re-offer (queued
+    // before it retired) still sends.
+    const bool retired = retired_.contains(key);
+    if (retired && !re_offer) return;
+    if (!retired) {
+        RequestState& state = requests_[key];
+        if (state.self_propagated && !re_offer) return;
+        state.self_propagated = true;
+        state.propagated_by |= std::uint64_t{1} << raw(config_.id);
+        if (!state.request) state.request = req;
+    }
 
     auto prop = net::make_msg<PropagateMsg>(config_.message_pool);
     prop->request = req;
@@ -398,7 +415,7 @@ void Node::propagation_self(const std::shared_ptr<const bft::RequestMsg>& req, b
         if (NodeId{i} == config_.id) continue;
         network_.send(net::Address::node(config_.id), net::Address::node(NodeId{i}), prop);
     }
-    maybe_clear(key);
+    if (!retired) maybe_clear(key);
 }
 
 void Node::propagation_receive(NodeId from, std::shared_ptr<const PropagateMsg> msg) {
@@ -415,10 +432,11 @@ void Node::propagation_receive(NodeId from, std::shared_ptr<const PropagateMsg> 
         const auto& req = msg->request;
         if (!req || blacklisted_clients_.contains(req->client)) return;
         const RequestKey key{req->client, req->rid};
+        if (retired_.contains(key)) return;  // cleared, dispatched, executed
         RequestState& state = requests_[key];
         // The sender vouching for the request counts regardless of whether
         // we have finished verifying the body ourselves.
-        state.propagated_by.insert(from);
+        state.propagated_by |= std::uint64_t{1} << raw(from);
 
         if (!state.request) {
             if (state.verifying) return;  // verification already queued
@@ -454,7 +472,10 @@ void Node::propagation_receive(NodeId from, std::shared_ptr<const PropagateMsg> 
 void Node::maybe_clear(const RequestKey& key) {
     RequestState& state = requests_[key];
     if (state.cleared || !state.request) return;
-    if (state.propagated_by.size() < propagate_quorum(config_.f)) return;
+    if (static_cast<std::uint32_t>(std::popcount(state.propagated_by)) <
+        propagate_quorum(config_.f)) {
+        return;
+    }
     state.cleared = true;
     cpu_.core(kDispatchCore).submit(simulator_, microseconds(0.5), [this, key] { dispatch(key); });
 }
@@ -478,11 +499,13 @@ void Node::dispatch(const RequestKey& key) {
     ref.digest = state.request->digest;
     ref.payload_bytes = static_cast<std::uint32_t>(state.request->payload.size());
     for (auto& engine : engines_) engine->submit(ref);
+    maybe_retire(key);
 }
 
 bool Node::engine_request_cleared(const bft::RequestRef& ref) {
     auto it = requests_.find(ref.key());
-    return it != requests_.end() && it->second.cleared;
+    if (it == requests_.end()) return retired_.contains(ref.key());
+    return it->second.cleared;
 }
 
 void Node::engine_send(InstanceId, NodeId dest, net::MessagePtr m) {
@@ -507,9 +530,14 @@ void Node::engine_ordered(const bft::OrderedBatch& batch) {
     policy_->on_batch_committed(batch, *this);
 
     for (const auto& ref : batch.requests) {
-        auto it = requests_.find(ref.key());
-        if (it != requests_.end() && it->second.dispatched) {
-            const Duration latency = simulator_.now() - it->second.dispatch_time;
+        std::optional<TimePoint> dispatched_at;
+        if (auto it = requests_.find(ref.key()); it != requests_.end()) {
+            if (it->second.dispatched) dispatched_at = it->second.dispatch_time;
+        } else if (retired_.contains(ref.key())) {
+            dispatched_at = retired_dispatch_.at(ref.key());
+        }
+        if (dispatched_at) {
+            const Duration latency = simulator_.now() - *dispatched_at;
             auto& stats = client_latency_[ref.client];
             if (stats.sum.size() < engines_.size()) {
                 stats.sum.resize(engines_.size(), 0.0);
@@ -523,12 +551,13 @@ void Node::engine_ordered(const bft::OrderedBatch& batch) {
                 // Backlog re-ordered right after an instance change carries
                 // stale dispatch times; only judge the new primary on
                 // requests dispatched under its reign.
-                if (it->second.dispatch_time > last_instance_change_) {
+                if (*dispatched_at > last_instance_change_) {
                     latency_check(batch.instance, ref, latency);
                 }
             }
         }
         policy_->on_ref_committed(batch, ref, *this);
+        maybe_retire(ref.key());
     }
     policy_->after_batch(batch, *this);
 }
@@ -574,7 +603,23 @@ void Node::execute(const bft::RequestRef& ref) {
             BytesView(reply.result.data(), reply.result.size()));
         last_reply_[req->client] = {req->rid, reply};
         send_reply(req->client, reply);
+        maybe_retire(key);
     });
+}
+
+// A request retires once nothing on this node can still need its body or
+// propagators: it was dispatched, executed, and delivered by every local
+// instance.  Its key moves to retired_, which every requests_ access point
+// consults to answer as the erased entry would have.
+void Node::maybe_retire(const RequestKey& key) {
+    auto it = requests_.find(key);
+    if (it == requests_.end() || !it->second.dispatched || !executed_.contains(key)) return;
+    for (const auto& engine : engines_) {
+        if (!engine->has_ordered(key)) return;
+    }
+    retired_dispatch_.record(key, it->second.dispatch_time);
+    retired_.insert(key);
+    requests_.erase(it);
 }
 
 void Node::send_reply(ClientId client, const bft::ReplyMsg& reply) {

@@ -32,7 +32,6 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bft/engine.hpp"
@@ -40,6 +39,7 @@
 #include "bft/messages.hpp"
 #include "common/det.hpp"
 #include "common/histogram.hpp"
+#include "common/request_key_set.hpp"
 #include "common/timeseries.hpp"
 #include "crypto/cost_model.hpp"
 #include "crypto/keystore.hpp"
@@ -218,6 +218,8 @@ public:
         return master_latency_series_.at(c);
     }
     [[nodiscard]] std::uint64_t cpi() const noexcept { return cpi_; }
+    /// Requests this node still holds state for (not yet retired).
+    [[nodiscard]] std::size_t live_requests() const noexcept { return requests_.size(); }
 
     /// The active ordering→execution policy (master-only unless a factory
     /// was injected via NodeConfig::execution_policy).
@@ -279,7 +281,8 @@ public:
 private:
     struct RequestState {
         std::shared_ptr<const bft::RequestMsg> request;
-        std::set<NodeId> propagated_by;
+        /// Bit i set: node i sent (or, for this node, is) a PROPAGATE.
+        std::uint64_t propagated_by = 0;
         /// A signature verification for this request is queued or running;
         /// duplicate copies (direct or propagated) must not re-verify.
         bool verifying = false;
@@ -307,6 +310,7 @@ private:
     void maybe_clear(const RequestKey& key);
     void dispatch(const RequestKey& key);
     void execute(const bft::RequestRef& ref);
+    void maybe_retire(const RequestKey& key);
     void send_reply(ClientId client, const bft::ReplyMsg& reply);
 
     // Monitoring.
@@ -364,11 +368,16 @@ private:
     // until the node is destroyed.
     std::vector<std::unique_ptr<bft::InstanceEngine>> retired_engines_;
 
-    // Lookup-only (never iterated, which the det-unordered-iteration lint
-    // rule enforces), so hashed.  RequestState references stay valid across
-    // inserts; iterators do not, so none is held across one.
+    // Live requests only: a request retires (its entry is erased and its
+    // key moves to retired_) once it is dispatched, executed and delivered
+    // by every local instance; see maybe_retire().  Lookup-only (never
+    // iterated, which the det-unordered-iteration lint rule enforces), so
+    // hashed.  RequestState references stay valid across inserts;
+    // iterators do not, so none is held across one.
     std::unordered_map<RequestKey, RequestState> requests_;
-    std::unordered_set<RequestKey> executed_;
+    RequestKeySet retired_;
+    RequestKeyTimes retired_dispatch_;  // dispatch times of retired requests
+    RequestKeySet executed_;
     det::map<ClientId, std::pair<RequestId, bft::ReplyMsg>> last_reply_;
     det::set<ClientId> blacklisted_clients_;
 

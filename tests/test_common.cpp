@@ -2,11 +2,14 @@
 // histogram, time arithmetic and windowed counters.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/histogram.hpp"
 #include "common/logging.hpp"
+#include "common/request_key_set.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "common/timeseries.hpp"
@@ -332,6 +335,152 @@ TEST(Logging, TwoLoggersAreIndependent) {
     log_info(&b, "x", "to-b");  // b is still kOff and has no sink
     ASSERT_EQ(captured_a.size(), 1u);
     EXPECT_EQ(captured_a[0], "to-a");
+}
+
+// ---------------------------------------------------------------------------
+// RequestKeySet against an ordered-set oracle.
+
+// Inserts `key` into both sets and checks they agree on it and its
+// neighbours.
+void insert_both(RequestKeySet& set, std::set<RequestKey>& oracle, RequestKey key) {
+    ASSERT_EQ(set.insert(key), oracle.insert(key).second)
+        << "client " << raw(key.client) << " rid " << raw(key.rid);
+    for (const std::uint64_t d : {0ull, 1ull, ~0ull}) {  // rid, rid + 1, rid - 1 (wrapping)
+        const RequestKey probe{key.client, RequestId{raw(key.rid) + d}};
+        ASSERT_EQ(set.contains(probe), oracle.contains(probe))
+            << "client " << raw(probe.client) << " rid " << raw(probe.rid);
+    }
+}
+
+// Membership of every oracle key, of the rids around it, and of random
+// rids for every client (in and beyond those used).
+void expect_same_membership(const RequestKeySet& set, const std::set<RequestKey>& oracle,
+                            std::uint32_t clients, Rng& rng) {
+    for (const RequestKey& key : oracle) {
+        for (const std::uint64_t d : {0ull, 1ull, 2ull, ~0ull, ~1ull}) {
+            const RequestKey probe{key.client, RequestId{raw(key.rid) + d}};
+            ASSERT_EQ(set.contains(probe), oracle.contains(probe))
+                << "client " << raw(probe.client) << " rid " << raw(probe.rid);
+        }
+    }
+    for (std::uint32_t c = 0; c < clients + 2; ++c) {
+        for (int i = 0; i < 64; ++i) {
+            const std::uint64_t rid = i % 2 == 0 ? rng.next_below(600) : rng.next_u64();
+            const RequestKey probe{ClientId{c}, RequestId{rid}};
+            ASSERT_EQ(set.contains(probe), oracle.contains(probe));
+        }
+    }
+}
+
+TEST(RequestKeySet, MatchesOrderedSetOracle) {
+    constexpr std::uint32_t kClients = 24;
+    constexpr std::uint64_t kMax = ~0ull;
+    Rng rng(20261019);
+    RequestKeySet set;
+    std::set<RequestKey> oracle;
+    for (int round = 0; round < 3; ++round) {
+        // Per client: the next in-order rid and where its stream started
+        // (rid 0, rid 1, or well above 0 so that lower rids arrive later).
+        std::vector<std::uint64_t> next(kClients);
+        for (std::uint32_t c = 0; c < kClients; ++c) {
+            next[c] = c % 3 == 0 ? 0 : (c % 3 == 1 ? 1 : 200 + rng.next_below(100));
+        }
+        for (int step = 0; step < 6000; ++step) {
+            const std::uint32_t c = static_cast<std::uint32_t>(rng.next_below(kClients));
+            const ClientId client{c};
+            const std::uint64_t roll = rng.next_below(100);
+            std::uint64_t rid = 0;
+            if (roll < 55) {
+                rid = next[c]++;  // in order
+            } else if (roll < 80) {
+                // Out of order within a window around the frontier, ahead
+                // of it or behind it (including repeats).
+                rid = next[c] + rng.next_below(16);
+                rid = rid >= 8 ? rid - 8 : rid;
+            } else if (roll < 88) {
+                rid = rng.next_below(300);  // anywhere low, below a late start too
+            } else if (roll < 94) {
+                rid = rng.next_u64();  // hostile: arbitrary 64-bit rid
+            } else {
+                // Hostile: the edges of the rid space.
+                const std::uint64_t edges[] = {0, 1, kMax, kMax - 1, kMax - 2, kMax / 2};
+                rid = edges[rng.next_below(6)];
+            }
+            insert_both(set, oracle, RequestKey{client, RequestId{rid}});
+            if (HasFatalFailure()) return;
+        }
+        expect_same_membership(set, oracle, kClients, rng);
+        if (HasFatalFailure()) return;
+        if (round < 2) {
+            set.clear();
+            oracle.clear();
+            expect_same_membership(set, oracle, kClients, rng);
+        }
+    }
+}
+
+TEST(RequestKeySet, GapsAndRunSwapsStayExact) {
+    RequestKeySet set;
+    std::set<RequestKey> oracle;
+    const ClientId c{7};
+    const auto put = [&](std::uint64_t rid) {
+        insert_both(set, oracle, RequestKey{c, RequestId{rid}});
+    };
+    // A first rid far above the stream, then the stream itself.
+    put(1ull << 40);
+    for (std::uint64_t rid = 1; rid <= 50; ++rid) put(rid);
+    // A permanent gap at 51, then in-order again, then the gap filled late.
+    for (std::uint64_t rid = 52; rid <= 100; ++rid) put(rid);
+    put(51);
+    // Rid 0 below the run, then a descending stream above it.
+    put(0);
+    for (std::uint64_t rid = 1000; rid > 900; --rid) put(rid);
+    // A run that ends at the largest rid must not wrap around to rid 0, nor
+    // one that starts at rid 0 to the largest rid.
+    constexpr std::uint64_t kMax = ~0ull;
+    const std::uint64_t edge_walk[] = {kMax - 1, kMax, 0, 1, kMax, kMax - 2};
+    for (const std::uint64_t rid : edge_walk) {
+        insert_both(set, oracle, RequestKey{ClientId{9}, RequestId{rid}});
+    }
+    Rng rng(3);
+    expect_same_membership(set, oracle, 10, rng);
+    EXPECT_TRUE(set.contains(RequestKey{c, RequestId{51}}));
+    EXPECT_FALSE(set.contains(RequestKey{c, RequestId{101}}));
+    EXPECT_FALSE(set.contains(RequestKey{ClientId{8}, RequestId{51}}));
+}
+
+TEST(RequestKeyTimes, MatchesMapOracle) {
+    // In-order, out-of-order, descending, widely spaced and arbitrary
+    // 64-bit rids, each recorded once; every one reads back its own time.
+    Rng rng(17);
+    RequestKeyTimes times;
+    std::map<RequestKey, TimePoint> oracle;
+    for (int round = 0; round < 2; ++round) {
+        std::vector<std::uint64_t> next(8, 1000);
+        for (int step = 0; step < 5000; ++step) {
+            const std::uint32_t c = static_cast<std::uint32_t>(rng.next_below(8));
+            const std::uint64_t roll = rng.next_below(100);
+            std::uint64_t rid = 0;
+            if (roll < 60) {
+                rid = next[c]++;
+            } else if (roll < 75) {
+                rid = next[c] + 1 + rng.next_below(200);  // ahead, sometimes past the gap
+            } else if (roll < 90) {
+                rid = rng.next_below(1200);  // below the first rid, descending often
+            } else {
+                rid = rng.next_u64();
+            }
+            const RequestKey key{ClientId{c}, RequestId{rid}};
+            const TimePoint at{static_cast<std::int64_t>(rng.next_below(1'000'000'000))};
+            if (!oracle.emplace(key, at).second) continue;  // each key at most once
+            times.record(key, at);
+        }
+        for (const auto& [key, at] : oracle) {
+            ASSERT_EQ(times.at(key), at) << raw(key.client) << "/" << raw(key.rid);
+        }
+        times.clear();
+        oracle.clear();
+    }
 }
 
 }  // namespace

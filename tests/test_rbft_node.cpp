@@ -3,6 +3,10 @@
 // exercised on full clusters with targeted misbehaviours.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <vector>
+
 #include "attacks/attacks.hpp"
 #include "rbft/cluster.hpp"
 #include "workload/client.hpp"
@@ -309,6 +313,85 @@ TEST(RbftNode, ExecutionDeduplicatesAcrossDuplicateOrders) {
     for (std::uint32_t i = 0; i < 4; ++i) {
         EXPECT_EQ(cluster.node(i).stats().requests_executed, 10u);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Request retirement: a request executed and delivered by every instance
+// leaves only its key behind.
+
+// Live request entries per node after `load_for` of fault-free load and
+// half a second of quiet.
+std::vector<std::size_t> live_requests_after(Duration load_for) {
+    Cluster cluster(quick_config());
+    cluster.start();
+    ClientEndpoint client(ClientId{0}, cluster.simulator(), cluster.network(), cluster.keys(),
+                          4, 1);
+    LoadGenerator load(cluster.simulator(), {&client}, LoadSpec::constant(2000.0, load_for, 1),
+                       Rng(5));
+    load.start();
+    cluster.simulator().run_for(load_for + milliseconds(500.0));
+    EXPECT_GT(client.sent(), 0u);
+    EXPECT_EQ(client.completed(), client.sent());
+    std::vector<std::size_t> live;
+    for (std::uint32_t i = 0; i < 4; ++i) live.push_back(cluster.node(i).live_requests());
+    return live;
+}
+
+TEST(RbftNode, LiveRequestStateDoesNotGrowWithRunLength) {
+    const std::vector<std::size_t> short_run = live_requests_after(milliseconds(500.0));
+    const std::vector<std::size_t> long_run = live_requests_after(seconds(2.0));
+    EXPECT_EQ(short_run, long_run);
+}
+
+TEST(RbftNode, RedeliveryOfRetiredRequestCountsFromOriginalDispatch) {
+    obs::Recorder recorder;
+    ClusterConfig cfg = quick_config();
+    cfg.recorder = &recorder;
+    Cluster cluster(cfg);
+    std::optional<TimePoint> dispatched_at;
+    RequestId rid{};
+    recorder.set_listener([&](const obs::TraceEvent& e) {
+        if (e.type == obs::EventType::kRequestDispatched && e.node == 0) {
+            dispatched_at = e.at;
+            rid = RequestId{e.b};
+        }
+    });
+    cluster.start();
+    ClientEndpoint client(ClientId{0}, cluster.simulator(), cluster.network(), cluster.keys(),
+                          4, 1);
+    client.send_one();
+    cluster.simulator().run_for(milliseconds(500.0));
+    ASSERT_EQ(client.completed(), 1u);
+    ASSERT_TRUE(dispatched_at.has_value());
+
+    Node& node = cluster.node(0);
+    ASSERT_EQ(node.live_requests(), 0u);  // executed and delivered everywhere: retired
+    const Series& series = node.master_latency_series(ClientId{0});
+    ASSERT_EQ(series.size(), 1u);
+
+    // The master instance delivers the retired request again, as a
+    // re-proposal after a view change does.
+    bft::RequestRef ref;
+    ref.client = ClientId{0};
+    ref.rid = rid;
+    bft::OrderedBatch batch;
+    batch.instance = Node::master_instance();
+    batch.seq = SeqNum{2};
+    batch.requests = {ref};
+    node.engine_ordered(batch);
+
+    ASSERT_EQ(series.size(), 2u);
+    EXPECT_DOUBLE_EQ(series.points[1].second,
+                     (cluster.simulator().now() - *dispatched_at).millis());
+    EXPECT_EQ(node.stats().requests_executed, 1u);  // not executed twice
+    EXPECT_EQ(node.live_requests(), 0u);            // no entry recreated
+}
+
+TEST(RbftNode, RejectsMoreThan64Nodes) {
+    // Propagator sets and corrupt-MAC masks are 64-bit node masks.
+    ClusterConfig cfg = quick_config();
+    cfg.f = 22;  // n = 67
+    EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
 }
 
 }  // namespace
