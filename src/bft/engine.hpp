@@ -227,10 +227,6 @@ public:
     [[nodiscard]] SeqNum last_stable() const noexcept { return last_stable_; }
     [[nodiscard]] SeqNum next_to_deliver() const noexcept { return next_deliver_; }
     [[nodiscard]] std::size_t pending_requests() const noexcept { return pending_.size(); }
-    /// This replica has delivered `key` in an ordered batch.
-    [[nodiscard]] bool has_ordered(const RequestKey& key) const {
-        return ordered_keys_.contains(key);
-    }
     [[nodiscard]] TimePoint last_preprepare_seen() const noexcept { return last_pp_seen_; }
 
     /// Age of the oldest request submitted but not yet ordered (drives the

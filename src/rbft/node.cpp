@@ -557,7 +557,6 @@ void Node::engine_ordered(const bft::OrderedBatch& batch) {
             }
         }
         policy_->on_ref_committed(batch, ref, *this);
-        maybe_retire(ref.key());
     }
     policy_->after_batch(batch, *this);
 }
@@ -607,16 +606,13 @@ void Node::execute(const bft::RequestRef& ref) {
     });
 }
 
-// A request retires once nothing on this node can still need its body or
-// propagators: it was dispatched, executed, and delivered by every local
-// instance.  Its key moves to retired_, which every requests_ access point
-// consults to answer as the erased entry would have.
+// A request retires once it was dispatched and executed: nothing on this node
+// needs its body or propagators any more, and a later local delivery needs
+// only its dispatch time (kept in retired_dispatch_).  Every requests_ access
+// point consults retired_ to answer as the erased entry would have.
 void Node::maybe_retire(const RequestKey& key) {
     auto it = requests_.find(key);
     if (it == requests_.end() || !it->second.dispatched || !executed_.contains(key)) return;
-    for (const auto& engine : engines_) {
-        if (!engine->has_ordered(key)) return;
-    }
     retired_dispatch_.record(key, it->second.dispatch_time);
     retired_.insert(key);
     requests_.erase(it);

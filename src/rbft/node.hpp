@@ -217,6 +217,13 @@ public:
     [[nodiscard]] const Series& master_latency_series(ClientId c) const {
         return master_latency_series_.at(c);
     }
+    /// Ω input for client `c` on instance `i`: summed dispatch-to-delivery
+    /// latency (seconds) and sample count since the last instance change.
+    [[nodiscard]] std::pair<double, std::uint64_t> client_latency(ClientId c, InstanceId i) const {
+        const auto it = client_latency_.find(c);
+        if (it == client_latency_.end() || it->second.count.size() <= raw(i)) return {0.0, 0};
+        return {it->second.sum[raw(i)], it->second.count[raw(i)]};
+    }
     [[nodiscard]] std::uint64_t cpi() const noexcept { return cpi_; }
     /// Requests this node still holds state for (not yet retired).
     [[nodiscard]] std::size_t live_requests() const noexcept { return requests_.size(); }
@@ -369,11 +376,11 @@ private:
     std::vector<std::unique_ptr<bft::InstanceEngine>> retired_engines_;
 
     // Live requests only: a request retires (its entry is erased and its
-    // key moves to retired_) once it is dispatched, executed and delivered
-    // by every local instance; see maybe_retire().  Lookup-only (never
-    // iterated, which the det-unordered-iteration lint rule enforces), so
-    // hashed.  RequestState references stay valid across inserts;
-    // iterators do not, so none is held across one.
+    // key moves to retired_) once it is dispatched and executed; see
+    // maybe_retire().  Lookup-only (never iterated, which the
+    // det-unordered-iteration lint rule enforces), so hashed.  RequestState
+    // references stay valid across inserts; iterators do not, so none is
+    // held across one.
     std::unordered_map<RequestKey, RequestState> requests_;
     RequestKeySet retired_;
     RequestKeyTimes retired_dispatch_;  // dispatch times of retired requests

@@ -316,14 +316,18 @@ TEST(RbftNode, ExecutionDeduplicatesAcrossDuplicateOrders) {
 }
 
 // ---------------------------------------------------------------------------
-// Request retirement: a request executed and delivered by every instance
-// leaves only its key behind.
+// Request retirement: a request this node dispatched and executed leaves
+// only its key and dispatch time behind, whatever its local instances have
+// delivered.
 
-// Live request entries per node after `load_for` of fault-free load and
-// half a second of quiet.
-std::vector<std::size_t> live_requests_after(Duration load_for) {
+// Live request entries per node after `load_for` of load and half a second
+// of quiet, fault-free or under worst-attack-2.
+std::vector<std::size_t> live_requests_after(Duration load_for, bool worst_attack_2 = false) {
     Cluster cluster(quick_config());
+    attacks::WorstAttack2 attack(cluster);
+    if (worst_attack_2) attack.install();
     cluster.start();
+    if (worst_attack_2) attack.start();
     ClientEndpoint client(ClientId{0}, cluster.simulator(), cluster.network(), cluster.keys(),
                           4, 1);
     LoadGenerator load(cluster.simulator(), {&client}, LoadSpec::constant(2000.0, load_for, 1),
@@ -332,8 +336,15 @@ std::vector<std::size_t> live_requests_after(Duration load_for) {
     cluster.simulator().run_for(load_for + milliseconds(500.0));
     EXPECT_GT(client.sent(), 0u);
     EXPECT_EQ(client.completed(), client.sent());
+    if (worst_attack_2) {
+        // The faulty host's backup replicas abstain: it delivers nothing there.
+        EXPECT_EQ(cluster.node(attack.faulty_node()).engine(InstanceId{1}).total_ordered(), 0u);
+    }
     std::vector<std::size_t> live;
-    for (std::uint32_t i = 0; i < 4; ++i) live.push_back(cluster.node(i).live_requests());
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(cluster.node(i).stats().requests_executed, client.sent()) << i;
+        live.push_back(cluster.node(i).live_requests());
+    }
     return live;
 }
 
@@ -341,6 +352,67 @@ TEST(RbftNode, LiveRequestStateDoesNotGrowWithRunLength) {
     const std::vector<std::size_t> short_run = live_requests_after(milliseconds(500.0));
     const std::vector<std::size_t> long_run = live_requests_after(seconds(2.0));
     EXPECT_EQ(short_run, long_run);
+}
+
+TEST(RbftNode, LiveRequestStateUnderWorstAttack2DoesNotGrowWithRunLength) {
+    // The faulty node hosts the master primary and its backup replicas
+    // abstain, so its backup instances never deliver anything; it still
+    // retires every request it executes.
+    const std::vector<std::size_t> short_run = live_requests_after(milliseconds(500.0), true);
+    const std::vector<std::size_t> long_run = live_requests_after(seconds(2.0), true);
+    EXPECT_EQ(short_run, long_run);
+    for (const std::size_t live : long_run) EXPECT_LE(live, 4u);
+}
+
+TEST(RbftNode, RetiresOnExecutionWhileBackupInstanceStalls) {
+    obs::Recorder recorder;
+    ClusterConfig cfg = quick_config();
+    cfg.recorder = &recorder;
+    Cluster cluster(cfg);
+    const InstanceId backup{1};
+    std::optional<TimePoint> dispatched_at;
+    std::optional<TimePoint> backup_delivered_at;
+    recorder.set_listener([&](const obs::TraceEvent& e) {
+        if (e.node != 0) return;
+        if (e.type == obs::EventType::kRequestDispatched) dispatched_at = e.at;
+        if (e.type == obs::EventType::kBatchDelivered && e.instance == raw(backup)) {
+            backup_delivered_at = e.at;
+        }
+    });
+    // The backup instance's primary stays silent: the instance stalls until
+    // its replicas move to the next view.
+    const NodeId backup_primary = cluster.node(0).engine(backup).primary();
+    ASSERT_NE(backup_primary, NodeId{0});
+    cluster.node(backup_primary).engine(backup).set_silent(true);
+    cluster.start();
+    ClientEndpoint client(ClientId{0}, cluster.simulator(), cluster.network(), cluster.keys(),
+                          4, 1);
+    client.send_one();
+    cluster.simulator().run_for(milliseconds(500.0));
+    ASSERT_EQ(client.completed(), 1u);
+    ASSERT_TRUE(dispatched_at.has_value());
+
+    Node& node = cluster.node(0);
+    ASSERT_EQ(node.stats().requests_executed, 1u);
+    ASSERT_EQ(node.engine(backup).total_ordered(), 0u);  // stalled
+    EXPECT_EQ(node.live_requests(), 0u);                 // executed: retired
+    EXPECT_EQ(node.client_latency(ClientId{0}, backup).second, 0u);
+
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        bft::InstanceEngine& engine = cluster.node(i).engine(backup);
+        engine.start_view_change(next(engine.view()));
+    }
+    cluster.simulator().run_for(milliseconds(500.0));
+    ASSERT_EQ(node.engine(backup).total_ordered(), 1u);
+    ASSERT_TRUE(backup_delivered_at.has_value());
+
+    // The late delivery is timed from the original dispatch.
+    const auto [sum_s, count] = node.client_latency(ClientId{0}, backup);
+    EXPECT_EQ(count, 1u);
+    EXPECT_DOUBLE_EQ(sum_s, (*backup_delivered_at - *dispatched_at).seconds());
+    EXPECT_GT(sum_s, 0.4);
+    EXPECT_EQ(node.stats().requests_executed, 1u);  // not executed twice
+    EXPECT_EQ(node.live_requests(), 0u);            // no entry recreated
 }
 
 TEST(RbftNode, RedeliveryOfRetiredRequestCountsFromOriginalDispatch) {
@@ -365,7 +437,7 @@ TEST(RbftNode, RedeliveryOfRetiredRequestCountsFromOriginalDispatch) {
     ASSERT_TRUE(dispatched_at.has_value());
 
     Node& node = cluster.node(0);
-    ASSERT_EQ(node.live_requests(), 0u);  // executed and delivered everywhere: retired
+    ASSERT_EQ(node.live_requests(), 0u);  // dispatched and executed: retired
     const Series& series = node.master_latency_series(ClientId{0});
     ASSERT_EQ(series.size(), 1u);
 

@@ -253,8 +253,8 @@ TEST(StateTransfer, RestartedNodeExecutesAfterRetiredKeysAreCleared) {
     EXPECT_GT(restarted.stats().requests_executed, executed_before_crash);
     // Retirement resumed.  What the restarted node still holds once the
     // load has drained is a small residue (requests its state transfer
-    // skipped, which its instances never deliver), not every request it
-    // executed since the restart.
+    // skipped, which it never executes), not every request it executed
+    // since the restart.
     const std::uint64_t executed_since =
         restarted.stats().requests_executed - executed_before_crash;
     EXPECT_LT(restarted.live_requests() * 20, executed_since);
